@@ -10,10 +10,43 @@ allowed — conflicts are meaningful downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from repro.annotation.propagation import propagate_annotations
+from repro.annotation.propagation import (
+    PlanStep,
+    propagate_annotations,
+    propagation_plan,
+)
 from repro.htmlkit.dom import Element, Text
 from repro.recognizers.base import Match, Recognizer, prune_overlaps
+
+
+@dataclass(frozen=True)
+class PageScan:
+    """What annotation reads of a DOM subtree, collected once.
+
+    ``texts`` holds the non-empty text nodes with their collapsed text, in
+    document order; ``elements`` the elements in pre-order (the subtree
+    root first); ``plan`` the subtree's :func:`propagation_plan`.
+    """
+
+    texts: list[tuple[Text, str]]
+    elements: list[Element]
+    plan: list[PlanStep]
+
+    @classmethod
+    def of(cls, root: Element) -> "PageScan":
+        """Scan the subtree of ``root``."""
+        texts: list[tuple[Text, str]] = []
+        elements: list[Element] = []
+        for node in root.iter():
+            if isinstance(node, Element):
+                elements.append(node)
+                continue
+            text = node.text_content()
+            if text:
+                texts.append((node, text))
+        return cls(texts=texts, elements=elements, plan=propagation_plan(root))
 
 
 @dataclass
@@ -22,12 +55,20 @@ class AnnotatedPage:
 
     ``matches_by_type`` records, per entity type, the concrete matches
     found anywhere on the page; ``scores`` is filled by the sampling stage.
+    ``scan`` is taken on first use and reused by every annotation round:
+    annotations may change between rounds, the DOM's shape and text may
+    not.
     """
 
     root: Element
     index: int = -1
     matches_by_type: dict[str, list[Match]] = field(default_factory=dict)
     scores: dict[str, float] = field(default_factory=dict)
+
+    @cached_property
+    def scan(self) -> PageScan:
+        """The page's scan, taken on first use."""
+        return PageScan.of(self.root)
 
     def annotation_count(self, type_name: str | None = None) -> int:
         """Total matches (for one type, or across all types)."""
@@ -62,12 +103,12 @@ class PageAnnotator:
         ``within`` restricts the scan to a subtree (the selected central
         block); by default the whole page is scanned.
         """
-        scope = within if within is not None else page.root
+        if within is None or within is page.root:
+            scope, scan = page.root, page.scan
+        else:
+            scope, scan = within, PageScan.of(within)
         found: list[Match] = []
-        for text_node in scope.iter_text_nodes():
-            text = text_node.text_content()
-            if not text:
-                continue
+        for text_node, text in scan.texts:
             matches = prune_overlaps(recognizer.find(text))
             if not matches:
                 continue
@@ -89,7 +130,7 @@ class PageAnnotator:
                     )
                 )
         page.matches_by_type.setdefault(recognizer.type_name, []).extend(found)
-        propagate_annotations(scope)
+        propagate_annotations(scope, scan.plan)
         return found
 
 

@@ -11,46 +11,49 @@ from __future__ import annotations
 
 from repro.htmlkit.dom import Element, Node, Text
 
-
-def _child_annotation_sets(element: Element) -> list[set[str]]:
-    """Annotation sets of children that carry content (text or elements)."""
-    sets: list[set[str]] = []
-    for child in element.children:
-        if isinstance(child, Text):
-            if child.text_content():
-                sets.append(child.annotations)
-        else:
-            assert isinstance(child, Element)
-            sets.append(child.annotations)
-    return sets
+#: An element with its content-bearing children, as propagation reads them.
+PlanStep = tuple[Element, list[Node]]
 
 
-def propagate_annotations(root: Element) -> None:
+def propagation_plan(root: Element) -> list[PlanStep]:
+    """Every element under ``root`` (itself included) with the children
+    that carry content: elements and non-empty text nodes.
+
+    The order is reverse pre-order, so each element comes after all of
+    its descendants.  The plan depends only on the DOM's shape and text,
+    so a page whose DOM does not change can reuse it for every pass.
+    """
+    plan: list[PlanStep] = []
+    for element in root.iter_elements():
+        children = [
+            child
+            for child in element.children
+            if isinstance(child, Element) or child.text_content()
+        ]
+        plan.append((element, children))
+    plan.reverse()
+    return plan
+
+
+def propagate_annotations(root: Element, plan: list[PlanStep] | None = None) -> None:
     """Propagate annotations upward throughout the subtree of ``root``.
 
     Bottom-up pass: an element inherits annotation ``t`` if it has exactly
     one content-bearing child annotated ``t`` (linear path), or if *all*
-    its content-bearing children are annotated ``t``.
+    its content-bearing children are annotated ``t``.  ``plan``, when
+    given, must be :func:`propagation_plan` of ``root``.
     """
-
-    def visit(element: Element) -> None:
-        for child in element.children:
-            if isinstance(child, Element):
-                visit(child)
-        child_sets = _child_annotation_sets(element)
-        if not child_sets:
-            return
-        if len(child_sets) == 1:
-            element.annotations |= child_sets[0]
-            return
-        common = set(child_sets[0])
-        for annotations in child_sets[1:]:
-            common &= annotations
+    if plan is None:
+        plan = propagation_plan(root)
+    for element, children in plan:
+        if not children:
+            continue
+        common = children[0].annotations
+        for child in children[1:]:
+            common = common & child.annotations
             if not common:
-                return
+                break
         element.annotations |= common
-
-    visit(root)
 
 
 def clear_annotations(root: Element) -> None:

@@ -87,7 +87,7 @@ def _block_annotation_rate(
     totals: dict[str, float] = {}
     for page in pages:
         per_block: dict[str, int] = {}
-        for node in page.root.iter_elements():
+        for node in page.scan.elements:
             if not node.annotations:
                 continue
             signature = block_signature_of.get(id(node))
@@ -104,7 +104,14 @@ def _block_annotation_rate(
 def _enclosing_block_signatures(
     pages: list[AnnotatedPage], block_trees: list[BlockTree] | None
 ) -> dict[int, str]:
-    """Map node id -> signature of the innermost block containing it."""
+    """Map node id -> signature of the innermost block containing it.
+
+    Block elements nest as their blocks do (as
+    :func:`~repro.vision.segmentation.segment_page` builds them), so the
+    innermost block of a node is the nearest block element at or above
+    it: one top-down walk per tree finds it, taking each block's
+    signature once.
+    """
     mapping: dict[int, str] = {}
     if block_trees is None:
         # No segmentation available: treat each page body as one block.
@@ -114,10 +121,19 @@ def _enclosing_block_signatures(
                 mapping[id(node)] = "page-body"
         return mapping
     for tree in block_trees:
-        # Deepest blocks last so they overwrite ancestors in the map.
-        for block in tree.all_blocks():
-            for node in block.element.iter_elements():
-                mapping[id(node)] = block.signature
+        # Pre-order, so a later (deeper) block on the same element wins.
+        block_signature = {
+            id(block.element): block.signature for block in tree.all_blocks()
+        }
+        root = tree.root.element
+        stack = [(root, block_signature[id(root)])]
+        while stack:
+            node, signature = stack.pop()
+            signature = block_signature.get(id(node), signature)
+            mapping[id(node)] = signature
+            for child in node.children:
+                if isinstance(child, Element):
+                    stack.append((child, signature))
     return mapping
 
 

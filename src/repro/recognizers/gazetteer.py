@@ -1,9 +1,17 @@
 """Dictionary-based (isInstanceOf) recognizers.
 
 A gazetteer maps instance surface forms to confidences.  Matching is done
-over word boundaries with a longest-match-first strategy, using a token
-index so that scanning a page is linear in the page length rather than the
-dictionary size.
+over word boundaries with a longest-match-first strategy, using an index
+from each entry's first word to the entries starting with it, so a scan
+costs time in the page length (plus the few entries sharing each page
+word), not in the dictionary size.
+
+The index is derived state kept beside the entries: the first
+:meth:`GazetteerRecognizer.find` after a change builds it, and adding a
+new entry or removing one drops it.  Raising an existing
+entry's confidence (paper Eq. 4) leaves it in place, since matches read
+confidences from the entries at scan time.  An unpickled gazetteer
+drops whatever index came with it and rebuilds it on its first scan.
 """
 
 from __future__ import annotations
@@ -14,9 +22,21 @@ from typing import Iterable, Mapping
 from repro.recognizers.base import Match
 from repro.utils.text import collapse_whitespace
 
+#: A page word: where an entry may start, and what the index is keyed by.
+_WORD_RE = re.compile(r"[\w$€£]+")
 
-def _entry_key(value: str) -> str:
-    return collapse_whitespace(value).lower()
+
+def _fold_case(text: str) -> tuple[str, list[int] | None]:
+    """``text.lower()``, plus each lowered character's offset in ``text``.
+
+    The offsets are ``None`` when lowering keeps the length (then every
+    character maps to itself).  A few characters lower to two (``"İ"``
+    becomes ``"i"`` plus a combining dot), shifting everything after them.
+    """
+    folded = text.lower()
+    if len(folded) == len(text):
+        return folded, None
+    return folded, [i for i, char in enumerate(text) for __ in char.lower()]
 
 
 class GazetteerRecognizer:
@@ -40,27 +60,44 @@ class GazetteerRecognizer:
         self._case_sensitive = case_sensitive
         self._entries: dict[str, float] = {}
         self._surface: dict[str, str] = {}
+        #: First word -> keys starting with it, longest first; see the
+        #: module docstring for when it is built and dropped.
+        self._index: dict[str, list[str]] | None = None
         for value, confidence in entries.items():
             self.add(value, confidence)
         self._explicit_selectivity = selectivity
 
+    def __setstate__(self, state: dict[str, object]) -> None:
+        """Unpickle the entries; the index is rebuilt on the first scan."""
+        self.__dict__.update(state)
+        self._index = None
+
     # -- dictionary management -------------------------------------------
+
+    def _key(self, value: str) -> str:
+        """Dictionary key of ``value``: whitespace collapsed, case folded
+        unless the gazetteer is case-sensitive."""
+        surface = collapse_whitespace(value)
+        return surface if self._case_sensitive else surface.lower()
 
     def add(self, value: str, confidence: float = 1.0) -> None:
         """Add (or raise the confidence of) one dictionary entry."""
-        surface = collapse_whitespace(value)
-        if not surface:
+        key = self._key(value)
+        if not key:
             return
-        key = surface if self._case_sensitive else _entry_key(surface)
         if confidence >= self._entries.get(key, 0.0):
+            if key not in self._entries:
+                self._index = None
             self._entries[key] = confidence
-            self._surface[key] = surface
+            self._surface[key] = collapse_whitespace(value)
 
     def remove(self, value: str) -> None:
         """Drop an entry if present."""
-        key = value if self._case_sensitive else _entry_key(value)
-        self._entries.pop(key, None)
-        self._surface.pop(key, None)
+        key = self._key(value)
+        if key in self._entries:
+            del self._entries[key]
+            del self._surface[key]
+            self._index = None
 
     def entries(self) -> dict[str, float]:
         """Surface form -> confidence for every entry."""
@@ -68,15 +105,13 @@ class GazetteerRecognizer:
 
     def confidence_of(self, value: str) -> float:
         """Confidence of ``value`` (0.0 if absent)."""
-        key = value if self._case_sensitive else _entry_key(value)
-        return self._entries.get(key, 0.0)
+        return self._entries.get(self._key(value), 0.0)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, value: str) -> bool:
-        key = value if self._case_sensitive else _entry_key(value)
-        return key in self._entries
+        return self._key(value) in self._entries
 
     # -- Recognizer protocol ----------------------------------------------
 
@@ -84,49 +119,64 @@ class GazetteerRecognizer:
     def type_name(self) -> str:
         return self._type_name
 
+    def _first_word_index(self) -> dict[str, list[str]]:
+        """The index of the current entries, built if it was dropped.
+
+        Keys not starting with a word are left out: a match starts at a
+        page word, so they could never match.
+        """
+        if self._index is None:
+            index: dict[str, list[str]] = {}
+            for key in self._entries:
+                first = _WORD_RE.match(key)
+                if first is not None:
+                    index.setdefault(first.group(), []).append(key)
+            for keys in index.values():
+                keys.sort(key=len, reverse=True)
+            self._index = index
+        return self._index
+
     def find(self, text: str) -> list[Match]:
-        """All dictionary hits in ``text``, longest match first per offset."""
+        """All dictionary hits in ``text``, longest match first per offset.
+
+        Offsets and values index ``text`` itself, also where case folding
+        changes its length.
+        """
         if not self._entries:
             return []
-        haystack = text if self._case_sensitive else text.lower()
-        # Group entries by their first word for a cheap candidate filter.
+        if self._case_sensitive:
+            haystack, origin = text, None
+        else:
+            haystack, origin = _fold_case(text)
+        index = self._first_word_index()
+        length = len(haystack)
         matches: list[Match] = []
-        word_re = re.compile(r"[\w$€£]+")
-        words = list(word_re.finditer(haystack))
-        # Precompute: first token of each entry -> entry keys.
-        first_token_index: dict[str, list[str]] = {}
-        for key in self._entries:
-            first = word_re.search(key)
-            if first is None:
-                continue
-            first_token_index.setdefault(first.group(0), []).append(key)
         taken_until = -1
-        for word in words:
-            candidates = first_token_index.get(word.group(0))
-            if not candidates:
+        for word in _WORD_RE.finditer(haystack):
+            start = word.start()
+            if start < taken_until:
+                continue  # inside a previous (longer) match of this type
+            candidates = index.get(word.group())
+            if candidates is None:
                 continue
-            best: tuple[int, str] | None = None
-            for key in candidates:
-                end = word.start() + len(key)
-                if haystack[word.start() : end] != key:
+            for key in candidates:  # longest first: the first hit wins
+                end = start + len(key)
+                if not haystack.startswith(key, start):
                     continue
                 # Word-boundary check on the right side.
-                if end < len(haystack) and (haystack[end].isalnum() or haystack[end] == "_"):
+                if end < length and (haystack[end].isalnum() or haystack[end] == "_"):
                     continue
-                if best is None or end > best[0]:
-                    best = (end, key)
-            if best is None:
+                break
+            else:
                 continue
-            end, key = best
-            if word.start() < taken_until:
-                continue  # inside a previous (longer) match of this type
             taken_until = end
-            value = text[word.start() : end]
+            if origin is not None:
+                start, end = origin[start], origin[end - 1] + 1
             matches.append(
                 Match(
-                    start=word.start(),
+                    start=start,
                     end=end,
-                    value=value,
+                    value=text[start:end],
                     type_name=self._type_name,
                     confidence=self._entries[key],
                 )

@@ -41,6 +41,18 @@ class TestDictionary:
         gazetteer = GazetteerRecognizer("t", ["", "   "])
         assert len(gazetteer) == 0
 
+    def test_case_sensitive_keys_collapse_whitespace(self):
+        # remove/contains/confidence_of once skipped the collapse that add
+        # applies, so "New  York" missed the stored "New York".
+        gazetteer = GazetteerRecognizer(
+            "city", {"New York": 0.7}, case_sensitive=True
+        )
+        assert "New  York" in gazetteer
+        assert gazetteer.confidence_of(" New\tYork ") == 0.7
+        gazetteer.remove("New  York")
+        assert "New York" not in gazetteer
+        assert len(gazetteer) == 0
+
     def test_mapping_input_with_confidences(self):
         gazetteer = GazetteerRecognizer("t", {"A": 0.5, "B": 0.8})
         assert gazetteer.entries() == {"A": 0.5, "B": 0.8}
@@ -77,6 +89,18 @@ class TestFind:
         gazetteer = GazetteerRecognizer("t", ["muse"])
         (match,) = gazetteer.find("MUSE live")
         assert match.value == "MUSE"  # value from the page text, not the dict
+
+    def test_offsets_index_the_original_text(self):
+        # "İ" lowers to two characters; offsets into text.lower() used to
+        # shift every later match one character right.
+        gazetteer = GazetteerRecognizer("city", ["istanbul", "xi"])
+        text = "xİ istanbul"
+        matches = gazetteer.find(text)
+        assert [(m.start, m.end, m.value) for m in matches] == [
+            (0, 2, "xİ"),
+            (3, 11, "istanbul"),
+        ]
+        assert all(text[m.start : m.end] == m.value for m in matches)
 
     def test_accepts(self):
         gazetteer = GazetteerRecognizer("t", ["Muse"])
