@@ -118,8 +118,10 @@ class UnpicklableBoundaryRule(_ProcBoundRule):
         "Task specs shipped to worker processes must pickle; a lock, "
         "pool, open file, lambda or generator smuggled into one fails "
         "at dispatch time — or worse, pickles a stale copy. Rebuild "
-        "unpicklable services inside the worker (the _ProcessShardTask "
-        "pattern) or give the carrying class __getstate__/__setstate__."
+        "unpicklable services inside the worker from a picklable task "
+        "spec (as _run_process_shard rebuilds the runner and ships a "
+        "ShardResult home) or give the carrying class "
+        "__getstate__/__setstate__."
     )
     example = (
         "tasks = [ShardTask(items=chunk, lock=threading.Lock())]\n"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.baselines.interface import SystemOutput
 from repro.core.cache import PreprocessCache
@@ -37,14 +37,13 @@ from repro.core.faults import (
     SourceFailure,
 )
 from repro.core.params import RunParams
-from repro.core.sharding import stable_shard
+from repro.core.sharding import ShardResult, fold, partition
 from repro.core.pipeline import (
     DEFAULT_STAGE_ORDER,
     REGISTRY_STAGE_ORDER,
     Pipeline,
     PipelineContext,
     PipelineObserver,
-    StageEventCollector,
     TimingObserver,
     build_stages,
 )
@@ -57,8 +56,7 @@ from repro.errors import (
 )
 from repro.htmlkit.dom import Element
 from repro.kb.ontology import Ontology
-from repro.metrics.observer import MetricsObserver
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.observer import MetricsObserver, monotonic_seconds
 from repro.recognizers.base import Recognizer
 from repro.recognizers.build import DictionaryBuilder
 from repro.recognizers.gazetteer import GazetteerRecognizer
@@ -104,34 +102,14 @@ class _ProcessShardTask:
     isolate: bool
 
 
-@dataclass(frozen=True)
-class _ProcessShardResult:
-    """What one worker ships home: outcomes plus mergeable state.
-
-    ``outcomes`` aligns with the task's item prefix (a fail-fast worker
-    stops at its first failure); ``registries`` hold per-source metrics
-    for :meth:`MetricsObserver.adopt_source`; ``writes`` hold each
-    completed source's buffered registry writes for the order-pinned
-    apply; ``registry_stats``/``cache_stats`` are the worker's lifetime
-    counters, folded into the parent's reporting.
-    """
-
-    outcomes: tuple["SourceResult | SourceFailure", ...]
-    registries: dict[str, "MetricsRegistry"]
-    writes: dict[str, StagedWrites]
-    registry_stats: dict[str, int] | None
-    cache_stats: dict[str, int]
-
-
-def _run_process_shard(task: _ProcessShardTask) -> _ProcessShardResult:
+def _run_process_shard(task: _ProcessShardTask) -> ShardResult:
     """Run one shard inside a worker process (module-level for pickling).
 
-    The worker mirrors the serial batch path: per-source staged registry
-    views over a private registry handle, one :class:`MetricsObserver`,
-    sources in shard input order.  Nothing is written to the shared
-    registry here — writes are exported and applied by the parent in
-    global input order, which is what keeps an N-way process run
-    byte-identical to the serial one.
+    Rebuilds the runner over a private registry handle and runs the
+    same :meth:`ObjectRunner._run_shard` loop the in-process backends
+    use.  Nothing is written to the shared registry here: the staged
+    writes, per-source metrics and counters ship home for the parent's
+    :func:`~repro.core.sharding.fold`.
     """
     observer = MetricsObserver()
     wrapper_registry = (
@@ -150,34 +128,8 @@ def _run_process_shard(task: _ProcessShardTask) -> _ProcessShardResult:
         wrapper_registry=wrapper_registry,
     )
     observer.note_source_order(source for source, __ in task.items)
-    outcomes: list[SourceResult | SourceFailure] = []
-    writes: dict[str, StagedWrites] = {}
-    for source, raw_pages in task.items:
-        view = (
-            StagedRegistryView(wrapper_registry)
-            if wrapper_registry is not None
-            else None
-        )
-        try:
-            outcomes.append(runner._run_item(source, list(raw_pages), view))
-        except Exception as exc:
-            outcomes.append(SourceFailure.from_exception(source, exc))
-            if not task.isolate:
-                break
-        if view is not None:
-            writes[source] = view.export()
-    return _ProcessShardResult(
-        outcomes=tuple(outcomes),
-        registries={
-            source: observer.source_registry(source)
-            for source in observer.sources()
-        },
-        writes=writes,
-        registry_stats=(
-            wrapper_registry.stats() if wrapper_registry is not None else None
-        ),
-        cache_stats=runner.cache.stats(),
-    )
+    shard = runner._run_shard(task.items, task.isolate)
+    return shard.shipped(observer, wrapper_registry, runner.cache)
 
 
 class ObjectRunner:
@@ -489,9 +441,11 @@ class ObjectRunner:
     ) -> "MultiSourceResult":
         """Run the pipeline over several sources of the same domain.
 
-        With ``params.max_workers > 1`` independent sources wrap
-        concurrently on a thread pool; results keep the input order, so
-        the outcome is identical to a serial run.  Enrichment runs force
+        With ``params.max_workers = N > 1`` the batch splits into ``N``
+        hash-mod shards (:func:`~repro.core.sharding.partition`) that run
+        concurrently on a thread pool, or on worker processes with
+        ``backend="process"``; results keep the input order, so the
+        outcome is identical to a serial run.  Enrichment runs force
         serial execution: gazetteer growth feeds later sources, which is
         inherently order-dependent.
 
@@ -499,10 +453,10 @@ class ObjectRunner:
         discard) follow ``params.failure_policy``: under ``isolate`` the
         failure is recorded on ``MultiSourceResult.failures`` and every
         surviving source completes exactly as it would have in a
-        fault-free run; under ``fail_fast`` pending sources are cancelled
-        and :class:`~repro.errors.MultiSourceError` is raised, carrying
-        the results of the sources that completed before the failing one
-        (in input order) as ``partial``.
+        fault-free run; under ``fail_fast`` each shard stops at its own
+        first failure and :class:`~repro.errors.MultiSourceError` is
+        raised, carrying the results of the sources that completed
+        before the first failing one (in input order) as ``partial``.
 
         With ``deduplicate_across=True``, the pooled objects pass through
         the de-duplication stage of the paper's Figure 1 architecture —
@@ -523,36 +477,33 @@ class ObjectRunner:
             ]
         # Pin the metrics merge order to the input order before fanning
         # out, so parallel runs snapshot identically to serial ones.
-        for observer in self.observers:
-            if isinstance(observer, MetricsObserver):
-                observer.note_source_order(source for source, __ in items)
+        metrics = [
+            observer
+            for observer in self.observers
+            if isinstance(observer, MetricsObserver)
+        ]
+        for observer in metrics:
+            observer.note_source_order(source for source, __ in items)
         isolate = self.params.failure_policy == ISOLATE
         workers = max(1, int(self.params.max_workers))
-        if self.params.enrich_dictionaries:
+        if self.params.enrich_dictionaries or len(items) < 2:
             workers = 1
-        if (
-            self.params.backend == "process"
-            and workers > 1
-            and len(items) > 1
-        ):
-            outcomes = self._run_items_process(items, workers, isolate)
-        else:
-            # Per-source staged registry views: every source sees the
-            # registry as it was at batch start, and buffered writes apply
-            # in input order afterwards — hit/miss never depends on thread
-            # scheduling, so parallel batches snapshot byte-identically to
-            # serial ones.
-            registry = self._active_registry()
-            views: list[StagedRegistryView | None] = [
-                StagedRegistryView(registry) if registry is not None else None
-                for __ in items
-            ]
-            if workers > 1 and len(items) > 1:
-                outcomes = self._run_items_parallel(
-                    items, views, workers, isolate
-                )
-            else:
-                outcomes = self._run_items_serial(items, views, isolate)
+        pages = dict(items)
+        shards = [
+            [(source, pages[source]) for source in ids]
+            for __, ids in partition(pages, workers)
+        ]
+        outcomes, failure = fold(
+            list(pages),
+            self._run_shards(shards, isolate),
+            isolate=isolate,
+            metrics=metrics,
+            registry=self._active_registry(),
+        )
+        if failure is not None:
+            raise self._abort_error(
+                failure, outcomes, items
+            ) from failure.exception
         results: dict[str, SourceResult] = {}
         failures: dict[str, SourceFailure] = {}
         pooled = []
@@ -576,97 +527,97 @@ class ObjectRunner:
             failures=failures,
         )
 
-    def _run_item(
+    def _run_shard(
         self,
-        source: str,
-        raw_pages: list[str],
-        view: StagedRegistryView | None,
-    ) -> SourceResult:
-        """One batch item: through its staged registry view when present."""
-        if view is not None:
-            return self._run_registry(source, view, raw_pages=raw_pages)
-        return self.run_source(source, raw_pages)
-
-    @staticmethod
-    def _apply_registry_views(
-        views: list["StagedRegistryView | None"], upto: int
-    ) -> None:
-        """Apply the first ``upto`` sources' buffered registry writes.
-
-        Input order, conflicts resolved canonically — the batch's
-        registry bytes are a pure function of the applied-source set.
-        On a fail-fast abort only
-        the sources drained before the failure apply, matching what a
-        serial run would have written.
-        """
-        for view in views[:upto]:
-            if view is not None:
-                view.apply_to(view.base)
-
-    def _run_items_serial(
-        self,
-        items: list[tuple[str, list[str]]],
-        views: list["StagedRegistryView | None"],
+        items: Sequence[tuple[str, Sequence[str]]],
         isolate: bool,
-    ) -> list["SourceResult | SourceFailure"]:
-        """One source after another, applying the failure policy."""
+    ) -> ShardResult:
+        """Run one shard's sources in order: the loop every backend shares.
+
+        Each source runs against its own :class:`StagedRegistryView`, so
+        it sees the registry as it was at batch start and its writes
+        stay buffered until :func:`~repro.core.sharding.fold` applies
+        them in input order.  A failure is recorded as a
+        :class:`SourceFailure`; unless ``isolate``, it also ends the
+        shard, so every backend with the same shard count reaches the
+        same sources.
+        """
+        start = monotonic_seconds()
+        registry = self._active_registry()
         outcomes: list[SourceResult | SourceFailure] = []
-        for (source, raw_pages), view in zip(items, views):
+        writes: dict[str, StagedWrites] = {}
+        for source, raw_pages in items:
+            view = (
+                StagedRegistryView(registry) if registry is not None else None
+            )
             try:
-                outcomes.append(self._run_item(source, raw_pages, view))
+                if view is not None:
+                    outcome = self._run_registry(
+                        source, view, raw_pages=raw_pages
+                    )
+                else:
+                    outcome = self.run_source(source, list(raw_pages))
             except Exception as exc:
-                failure = SourceFailure.from_exception(source, exc)
+                outcomes.append(SourceFailure.from_exception(source, exc))
                 if not isolate:
-                    self._apply_registry_views(views, len(outcomes))
-                    raise self._abort_error(failure, outcomes, items) from exc
-                outcomes.append(failure)
-        self._apply_registry_views(views, len(outcomes))
-        return outcomes
-
-    def _run_items_parallel(
-        self,
-        items: list[tuple[str, list[str]]],
-        views: list["StagedRegistryView | None"],
-        workers: int,
-        isolate: bool,
-    ) -> list["SourceResult | SourceFailure"]:
-        """Sources on a thread pool, applying the failure policy.
-
-        Futures are drained in input order, so the policy's view of
-        "first failure" is deterministic regardless of thread scheduling.
-        On fail-fast abort, not-yet-started futures are cancelled and the
-        pool is joined (no orphaned work survives the raise); sources
-        after the failing one that happened to finish are discarded so
-        the partial result matches the serial run byte for byte.
-        """
-        outcomes: list[SourceResult | SourceFailure] = []
-        abort: tuple[SourceFailure, BaseException] | None = None
-        with ThreadPoolExecutor(
-            max_workers=min(workers, len(items))
-        ) as pool:
-            futures = [
-                pool.submit(self._run_item, source, raw_pages, view)
-                for (source, raw_pages), view in zip(items, views)
-            ]
-            for (source, __), future in zip(items, futures):
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:
-                    failure = SourceFailure.from_exception(source, exc)
-                    if isolate:
-                        outcomes.append(failure)
-                        continue
-                    for pending in futures:
-                        pending.cancel()
-                    abort = (failure, exc)
                     break
-            # Leaving the ``with`` block joins the pool: running futures
-            # finish, cancelled ones never start.
-        self._apply_registry_views(views, len(outcomes))
-        if abort is not None:
-            failure, cause = abort
-            raise self._abort_error(failure, outcomes, items) from cause
-        return outcomes
+            else:
+                outcomes.append(outcome)
+            if view is not None:
+                writes[source] = view.export()
+        return ShardResult(
+            ids=tuple(source for source, __ in items),
+            outcomes=tuple(outcomes),
+            writes=writes,
+            wall_seconds=monotonic_seconds() - start,
+        )
+
+    def _run_shards(
+        self,
+        shards: list[list[tuple[str, list[str]]]],
+        isolate: bool,
+    ) -> list[ShardResult]:
+        """Run every shard on the configured backend, in shard order.
+
+        One shard runs in-process.  Several run on a thread pool, or —
+        with ``backend="process"`` — one worker process each; a worker
+        rebuilds the runner from a picklable task spec and ships its
+        metrics and counters home with the result.
+        """
+        if len(shards) < 2:
+            return [self._run_shard(shard, isolate) for shard in shards]
+        if self.params.backend != "process":
+            with ThreadPoolExecutor(max_workers=len(shards)) as threads:
+                futures = [
+                    threads.submit(self._run_shard, shard, isolate)
+                    for shard in shards
+                ]
+            return [future.result() for future in futures]
+        self._check_process_backend_support()
+        registry = self._active_registry()
+        child_params = self.params.with_overrides(
+            backend="thread", max_workers=1, shard=None
+        )
+        tasks = [
+            _ProcessShardTask(
+                sod=self.sod,
+                registry=self.registry,
+                ontology=self._ontology,
+                corpus=self._corpus,
+                gazetteer_classes=self._gazetteer_classes,
+                extra_gazetteer_entries=self._extra_gazetteer_entries,
+                params=child_params,
+                retry_policy=self.retry_policy,
+                registry_root=str(registry.root) if registry else None,
+                items=tuple(
+                    (source, tuple(raw_pages)) for source, raw_pages in shard
+                ),
+                isolate=isolate,
+            )
+            for shard in shards
+        ]
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            return list(pool.map(_run_process_shard, tasks))
 
     def _check_process_backend_support(self) -> None:
         """Reject runner features that cannot cross a process boundary.
@@ -707,103 +658,6 @@ class ObjectRunner:
                 f"observers; got {', '.join(sorted(unsupported))}",
             )
 
-    def _run_items_process(
-        self,
-        items: list[tuple[str, list[str]]],
-        workers: int,
-        isolate: bool,
-    ) -> list["SourceResult | SourceFailure"]:
-        """Sources fanned out to worker processes, one hash-mod shard each.
-
-        Every worker rebuilds the runner from a picklable spec and runs
-        its shard serially with its own ``PreprocessCache``,
-        ``MetricsRegistry`` per source and ``StagedRegistryView`` per
-        source; the parent merges in global input order — per-source
-        metrics through :meth:`MetricsObserver.adopt_source`, registry
-        writes with conflicts resolved canonically, cache and registry
-        counters summed — so the batch output is byte-identical to the
-        serial run.
-
-        Failure policy matches the serial semantics: under ``fail_fast``
-        every worker stops at its shard's first failure, and the parent
-        keeps exactly the sources preceding the *globally* first failure
-        in input order (those are guaranteed complete in every shard).
-        """
-        self._check_process_backend_support()
-        registry = self._active_registry()
-        shard_items: list[list[tuple[str, tuple[str, ...]]]] = [
-            [] for __ in range(workers)
-        ]
-        for source, raw_pages in items:
-            shard_items[stable_shard(source, workers)].append(
-                (source, tuple(raw_pages))
-            )
-        child_params = self.params.with_overrides(
-            backend="thread", max_workers=1, shard=None
-        )
-        tasks = [
-            _ProcessShardTask(
-                sod=self.sod,
-                registry=self.registry,
-                ontology=self._ontology,
-                corpus=self._corpus,
-                gazetteer_classes=self._gazetteer_classes,
-                extra_gazetteer_entries=self._extra_gazetteer_entries,
-                params=child_params,
-                retry_policy=self.retry_policy,
-                registry_root=str(registry.root) if registry else None,
-                items=tuple(chunk),
-                isolate=isolate,
-            )
-            for chunk in shard_items
-            if chunk
-        ]
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            shard_results = list(pool.map(_run_process_shard, tasks))
-        outcome_by_source: dict[str, SourceResult | SourceFailure] = {}
-        writes_by_source: dict[str, StagedWrites] = {}
-        metrics_observers = [
-            observer
-            for observer in self.observers
-            if isinstance(observer, MetricsObserver)
-        ]
-        for task, result in zip(tasks, shard_results):
-            for (source, __), outcome in zip(task.items, result.outcomes):
-                outcome_by_source[source] = outcome
-            # Keyed per-source stores, not dict.update: each source lives
-            # in exactly one shard, so the merged mapping cannot depend
-            # on shard layout (reprolint P604).
-            for source, staged in result.writes.items():
-                writes_by_source[source] = staged
-            for observer in metrics_observers:
-                for source, shipped in result.registries.items():
-                    observer.adopt_source(source, shipped)
-                observer.adopt_cache_stats(result.cache_stats)
-            if registry is not None and result.registry_stats is not None:
-                registry.adopt_stats(result.registry_stats)
-        # The globally-first failure, in input order, decides the cut.
-        cut = len(items)
-        first_failure: SourceFailure | None = None
-        if not isolate:
-            for position, (source, __) in enumerate(items):
-                outcome = outcome_by_source.get(source)
-                if isinstance(outcome, SourceFailure):
-                    cut = position
-                    first_failure = outcome
-                    break
-        outcomes: list[SourceResult | SourceFailure] = []
-        for source, __ in items[:cut]:
-            outcomes.append(outcome_by_source[source])
-        if registry is not None:
-            kept = items if isolate else items[:cut]
-            for source, __ in kept:
-                staged = writes_by_source.get(source)
-                if staged is not None:
-                    staged.apply_to(registry)
-        if first_failure is not None:
-            raise self._abort_error(first_failure, outcomes, items)
-        return outcomes
-
     def _abort_error(
         self,
         failure: SourceFailure,
@@ -835,10 +689,11 @@ class ObjectRunner:
 class ObjectRunnerSystem:
     """Adapter exposing ObjectRunner behind the comparison interface.
 
-    Consumes pipeline stage events (through a
-    :class:`~repro.core.pipeline.StageEventCollector`) for its timing
-    figures instead of reaching into result internals; extra observers —
-    say, a benchmark-wide collector — can be injected at construction.
+    Reads its discard verdict and wrapping time off the
+    :class:`~repro.core.results.SourceResult` the run returns (the
+    pipeline's :class:`~repro.core.pipeline.TimingObserver` files the
+    wrapping seconds there); extra observers — say, a benchmark-wide
+    collector — can be injected at construction.
     """
 
     def __init__(
@@ -867,7 +722,6 @@ class ObjectRunnerSystem:
         self, source: str, pages: list[Element], sod: SodType
     ) -> SystemOutput:
         """Run the full pipeline on prepared pages of one source."""
-        collector = StageEventCollector()
         runner = ObjectRunner(
             sod=sod,
             ontology=self._ontology,
@@ -875,21 +729,20 @@ class ObjectRunnerSystem:
             gazetteer_classes=self._gazetteer_classes,
             params=self._params,
             extra_gazetteer_entries=self._extra_gazetteer_entries,
-            observers=(collector, *self._observers),
+            observers=self._observers,
             wrapper_registry=self._wrapper_registry,
         )
         result = runner.run_source_prepared(source, pages)
-        final_event = collector.completed[-1] if collector.completed else None
-        if final_event is not None and final_event.discarded:
+        if result.discarded:
             return SystemOutput(
                 system=self.name,
                 source=source,
                 failed=True,
-                failure_reason=final_event.discard_reason,
+                failure_reason=result.discard_reason,
             )
         return SystemOutput(
             system=self.name,
             source=source,
             objects=result.objects,
-            wrap_seconds=collector.stage_seconds("wrapping"),
+            wrap_seconds=result.timings.wrapping,
         )

@@ -38,7 +38,7 @@ from repro.baselines import ExAlgSystem, RoadRunnerSystem
 from repro.core.cache import PreprocessCache
 from repro.core.objectrunner import ObjectRunnerSystem
 from repro.core.params import RunParams
-from repro.core.sharding import ShardSpec, stable_shard
+from repro.core.sharding import ShardResult, ShardSpec, fold, partition
 from repro.datasets import (
     SCALE_TIER_THRESHOLD,
     CatalogEntry,
@@ -317,124 +317,74 @@ class BenchSession:
         output = system.run(entry.spec.name, pages, domain.sod)
         return grade_source(domain, source.gold, output), output.wrap_seconds
 
-    def _sweep_serial(self, system_name, entries, metrics):
-        """One-loop sweep; the single timing row covers the whole slice."""
+    def _run_shard(
+        self,
+        system_name: str,
+        entries: list[CatalogEntry],
+        metrics: MetricsObserver,
+    ) -> ShardResult:
+        """Run one shard's entries in order: the loop every backend shares.
+
+        Each entry gets its own staged registry view; the writes are
+        exported for :func:`~repro.core.sharding.fold` to apply in
+        catalog order.
+        """
         start = monotonic_seconds()
-        assembled = []
+        outcomes = []
+        writes: dict[str, StagedWrites] = {}
         for entry in entries:
             view = (
                 StagedRegistryView(self.registry) if self.registry else None
             )
-            evaluation, wrap_seconds = self._run_entry(
-                system_name, entry, metrics, view
+            outcomes.append(
+                self._run_entry(system_name, entry, metrics, view)
             )
-            assembled.append((entry, evaluation, wrap_seconds, view))
-        row = {
-            "shard": self._shard_label(),
-            "index": 0,
-            "count": 1,
-            "sources": len(entries),
-            "wall_seconds": round(monotonic_seconds() - start, 6),
-        }
-        return assembled, [row]
+            if view is not None:
+                writes[entry.spec.name] = view.export()
+        return ShardResult(
+            ids=tuple(entry.spec.name for entry in entries),
+            outcomes=tuple(outcomes),
+            writes=writes,
+            wall_seconds=monotonic_seconds() - start,
+        )
 
-    def _sweep_thread(self, system_name, entries, metrics, workers):
-        """Hash-mod sub-shards on a thread pool, sharing session caches."""
-        chunks = _shard_chunks(entries, workers)
+    def _run_shards(
+        self,
+        system_name: str,
+        shards: list[list[CatalogEntry]],
+        metrics: MetricsObserver,
+    ) -> list[ShardResult]:
+        """Run every shard on the configured backend, in shard order.
 
-        def run_chunk(index: int, chunk: list[CatalogEntry]):
-            start = monotonic_seconds()
-            results = []
-            for entry in chunk:
-                view = (
-                    StagedRegistryView(self.registry)
-                    if self.registry
-                    else None
-                )
-                evaluation, wrap_seconds = self._run_entry(
-                    system_name, entry, metrics, view
-                )
-                results.append((entry.spec.name, evaluation, wrap_seconds, view))
-            return index, results, monotonic_seconds() - start
-
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(run_chunk, index, chunk) for index, chunk in chunks
-            ]
-            outcomes = [future.result() for future in futures]
-        rows = []
-        by_name: dict[str, tuple] = {}
-        for index, results, wall in outcomes:
-            rows.append({
-                "shard": self._shard_label(),
-                "index": index,
-                "count": workers,
-                "sources": len(results),
-                "wall_seconds": round(wall, 6),
-            })
-            for name, evaluation, wrap_seconds, view in results:
-                by_name[name] = (evaluation, wrap_seconds, view)
-        assembled = [
-            (entry, *by_name[entry.spec.name]) for entry in entries
-        ]
-        return assembled, rows
-
-    def _sweep_process(self, system_name, entries, metrics, workers):
-        """Hash-mod sub-shards fanned out to worker processes.
-
-        Each worker runs its slice serially with its own caches and a
-        read-only view of the registry root, shipping back evaluations,
-        per-source metrics registries, staged registry writes and cache
-        stats.  The parent adopts the metrics (merge order stays pinned
-        to catalog order) and applies the writes in catalog order, so
-        the result is byte-identical to the serial sweep.
+        One shard runs in-process.  Several share the session caches on
+        a thread pool, or — with the process backend — run one worker
+        process each, with their own caches and a read view of the
+        registry root, shipping metrics and counters home.
         """
-        chunks = _shard_chunks(entries, workers)
+        if len(shards) < 2:
+            return [
+                self._run_shard(system_name, shard, metrics)
+                for shard in shards
+            ]
+        if self.config.backend == "thread":
+            with ThreadPoolExecutor(max_workers=len(shards)) as threads:
+                futures = [
+                    threads.submit(
+                        self._run_shard, system_name, shard, metrics
+                    )
+                    for shard in shards
+                ]
+            return [future.result() for future in futures]
         tasks = [
             _BenchShardTask(
                 config=self.config,
                 system_name=system_name,
-                names=tuple(entry.spec.name for entry in chunk),
-                index=index,
-                count=workers,
+                names=tuple(entry.spec.name for entry in shard),
             )
-            for index, chunk in chunks
+            for shard in shards
         ]
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            results = list(pool.map(_bench_shard_worker, tasks))
-        rows = []
-        by_name: dict[str, tuple] = {}
-        writes_by_name: dict[str, StagedWrites | None] = {}
-        for result in results:
-            rows.append({
-                "shard": self._shard_label(),
-                "index": result.index,
-                "count": result.count,
-                "sources": result.sources,
-                "wall_seconds": result.wall_seconds,
-            })
-            for name, registry in result.registries.items():
-                metrics.adopt_source(name, registry)
-            metrics.adopt_cache_stats(result.cache_stats)
-            self._worker_cache_stats.append(dict(result.cache_stats))
-            if result.registry_stats is not None and self.registry is not None:
-                self.registry.adopt_stats(result.registry_stats)
-            for name, evaluation, wrap_seconds in result.evaluations:
-                by_name[name] = (evaluation, wrap_seconds)
-            # Keyed per-source stores, not dict.update: each source lives
-            # in exactly one chunk, so the merged mapping cannot depend
-            # on chunk layout (reprolint P604).
-            for name, staged in result.writes.items():
-                writes_by_name[name] = staged
-        assembled = [
-            (
-                entry,
-                *by_name[entry.spec.name],
-                writes_by_name.get(entry.spec.name),
-            )
-            for entry in entries
-        ]
-        return assembled, rows
+            return list(pool.map(_bench_shard_worker, tasks))
 
     def run_system(
         self, system_name: str
@@ -444,35 +394,47 @@ class BenchSession:
         Returns the per-domain metrics (paper order), a registry holding
         the per-source ``wrap`` timer, and the pipeline metrics observer
         (meaningful for ObjectRunner; empty for the baselines).  The
-        backend only changes *how* the slice is swept; evaluations, the
-        wrap timer and the staged registry writes are always assembled
-        in catalog order afterwards.
+        thread and process backends split the slice into ``workers``
+        hash-mod shards; whatever the backend, evaluations, the wrap
+        timer and the staged registry writes fold back in catalog order.
         """
         entries = self.entries()
+        names = [entry.spec.name for entry in entries]
+        by_name = dict(zip(names, entries))
         metrics = MetricsObserver()
         metrics.observe_cache(self.preprocess_cache)
-        metrics.note_source_order(entry.spec.name for entry in entries)
+        metrics.note_source_order(names)
         wrap = MetricsRegistry()
         workers = max(1, int(self.config.workers))
-        pooled = workers > 1 and len(entries) > 1
+        if self.config.backend == "serial" or len(entries) < 2:
+            workers = 1
         start = monotonic_seconds()
-        if self.config.backend == "process" and pooled:
-            assembled, rows = self._sweep_process(
-                system_name, entries, metrics, workers
-            )
-        elif self.config.backend == "thread" and pooled:
-            assembled, rows = self._sweep_thread(
-                system_name, entries, metrics, workers
-            )
-        else:
-            assembled, rows = self._sweep_serial(system_name, entries, metrics)
+        partitioned = partition(names, workers)
+        results = self._run_shards(
+            system_name,
+            [[by_name[name] for name in ids] for __, ids in partitioned],
+            metrics,
+        )
+        outcomes, __ = fold(
+            names, results, metrics=(metrics,), registry=self.registry
+        )
         evaluations: dict[str, list] = {name: [] for name in DOMAIN_ORDER}
-        for entry, evaluation, wrap_seconds, staged in assembled:
+        for entry, (evaluation, wrap_seconds) in zip(entries, outcomes):
             evaluations[entry.spec.domain].append(evaluation)
             wrap.observe("wrap", wrap_seconds)
-            if staged is not None and self.registry is not None:
-                staged.apply_to(self.registry)
-        self._shard_rows[system_name] = rows
+        self._shard_rows[system_name] = [
+            {
+                "shard": self._shard_label(),
+                "index": index,
+                "count": workers,
+                "sources": len(result.ids),
+                "wall_seconds": round(result.wall_seconds, 6),
+            }
+            for (index, __), result in zip(partitioned, results)
+        ]
+        for result in results:
+            if result.cache_stats is not None:
+                self._worker_cache_stats.append(result.cache_stats)
         # The sweep wall includes pool startup/teardown and the merge —
         # the number the thread-vs-process comparison is about.
         self._walls[system_name] = round(monotonic_seconds() - start, 6)
@@ -613,24 +575,6 @@ def _domain_doc(metrics: "DomainMetrics") -> dict:
 # -- pooled sweeps --------------------------------------------------------
 
 
-def _shard_chunks(
-    entries: list[CatalogEntry], workers: int
-) -> list[tuple[int, list[CatalogEntry]]]:
-    """``(shard_index, chunk)`` hash-mod partition of a catalog slice.
-
-    Membership is :func:`~repro.core.sharding.stable_shard` of the source
-    name, so the same entry always lands on the same shard index
-    regardless of process, platform or ``PYTHONHASHSEED``; empty shards
-    are dropped.  Order within a chunk is catalog order.
-    """
-    chunks: list[list[CatalogEntry]] = [[] for _ in range(workers)]
-    for entry in entries:
-        chunks[stable_shard(entry.spec.name, workers)].append(entry)
-    return [
-        (index, chunk) for index, chunk in enumerate(chunks) if chunk
-    ]
-
-
 @dataclass(frozen=True)
 class _BenchShardTask:
     """Everything a bench worker process needs (all picklable)."""
@@ -638,35 +582,15 @@ class _BenchShardTask:
     config: BenchConfig
     system_name: str
     names: tuple[str, ...]
-    index: int
-    count: int
 
 
-@dataclass(frozen=True)
-class _BenchShardResult:
-    """What one bench worker ships back to the parent."""
-
-    index: int
-    count: int
-    sources: int
-    wall_seconds: float
-    #: ``(source_name, evaluation, wrap_seconds)`` in the chunk's order.
-    evaluations: tuple
-    #: Per-source metrics registries, adopted into the parent observer.
-    registries: dict
-    #: Per-source staged registry writes (``None`` without a registry).
-    writes: dict
-    registry_stats: dict | None
-    cache_stats: dict
-
-
-def _bench_shard_worker(task: _BenchShardTask) -> _BenchShardResult:
+def _bench_shard_worker(task: _BenchShardTask) -> ShardResult:
     """Run one shard of a bench sweep in a worker process.
 
     The worker builds its own serial session (own caches, own read view
-    of the registry root) and never applies registry writes — it exports
-    them as :class:`~repro.registry.store.StagedWrites` for the parent
-    to apply in catalog order, exactly like the serial sweep would.
+    of the registry root), runs the shared :meth:`BenchSession._run_shard`
+    loop and never applies registry writes: they ship home with its
+    metrics and counters for the parent to fold in catalog order.
     """
     config = dataclasses.replace(
         task.config,
@@ -676,7 +600,6 @@ def _bench_shard_worker(task: _BenchShardTask) -> _BenchShardResult:
         compare_backends=False,
     )
     session = BenchSession(config)
-    start = monotonic_seconds()
     wanted = set(task.names)
     entries = [
         entry
@@ -684,32 +607,9 @@ def _bench_shard_worker(task: _BenchShardTask) -> _BenchShardResult:
         if entry.spec.name in wanted
     ]
     metrics = MetricsObserver()
-    metrics.observe_cache(session.preprocess_cache)
-    metrics.note_source_order(entry.spec.name for entry in entries)
-    evaluations = []
-    writes: dict[str, StagedWrites | None] = {}
-    for entry in entries:
-        view = (
-            StagedRegistryView(session.registry) if session.registry else None
-        )
-        evaluation, wrap_seconds = session._run_entry(
-            task.system_name, entry, metrics, view
-        )
-        evaluations.append((entry.spec.name, evaluation, wrap_seconds))
-        writes[entry.spec.name] = view.export() if view is not None else None
-    return _BenchShardResult(
-        index=task.index,
-        count=task.count,
-        sources=len(entries),
-        wall_seconds=round(monotonic_seconds() - start, 6),
-        evaluations=tuple(evaluations),
-        registries={
-            name: metrics.source_registry(name) for name in metrics.sources()
-        },
-        writes=writes,
-        registry_stats=session.registry.stats() if session.registry else None,
-        cache_stats=session.preprocess_cache.stats(),
-    )
+    metrics.note_source_order(task.names)
+    shard = session._run_shard(task.system_name, entries, metrics)
+    return shard.shipped(metrics, session.registry, session.preprocess_cache)
 
 
 # -- artifact files -------------------------------------------------------

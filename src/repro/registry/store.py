@@ -509,12 +509,12 @@ class StagedWrites:
     Worker processes cannot ship a :class:`StagedRegistryView` home (it
     holds the live, lock-bearing base registry), so they export this
     value object instead: the sorted demotions plus the staged entries in
-    insertion order.  :meth:`apply_to` replays them with exactly the
-    semantics of :meth:`StagedRegistryView.apply_to`, so a sharded run's
-    registry bytes match the serial run.  (The stores/races counter split
-    still reflects where duplicate inductions were discarded, so those
-    counts are layout-dependent — which is why the bench digest excludes
-    them.)
+    insertion order.  :meth:`apply_to` is the one replay of staged
+    writes (:meth:`StagedRegistryView.apply_to` exports and calls it),
+    so every backend's registry bytes match the serial run.  (The
+    stores/races counter split still reflects where duplicate inductions
+    were discarded, so those counts are layout-dependent — which is why
+    the bench digest excludes them.)
     """
 
     demoted: tuple[str, ...]
@@ -593,19 +593,7 @@ class StagedRegistryView:
 
     def apply_to(self, base: WrapperRegistry) -> None:
         """Apply buffered demotions then stores to ``base``."""
-        for signature in sorted(self.demoted):
-            base.demote(signature)
-        for sod, fingerprint, stored in self.staged.values():
-            if isinstance(stored, StoredDiscard):
-                base.put_discard(
-                    sod,
-                    fingerprint,
-                    source=stored.source,
-                    stage=stored.stage,
-                    reason=stored.reason,
-                )
-            else:
-                base.put(sod, fingerprint, stored)
+        self.export().apply_to(base)
 
     def export(self) -> StagedWrites:
         """This view's buffered writes as a picklable value object."""

@@ -8,12 +8,18 @@ between cold, ``--cache`` and ``--changed-only`` runs.
 
 import subprocess
 import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.analysis import analyze_paths, build_rules
 from repro.analysis.cli import main
 from repro.analysis.engine import collect_files
 from repro.analysis.graph import ProjectGraph
 from repro.analysis.procbound import process_boundary
+from repro.analysis.rules.concurrency import SharedStateRule, _uses_thread_pool
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 P_RULES = "P601,P602,P603,P604"
 
@@ -611,3 +617,41 @@ class TestByteIdentity:
         assert outputs["warm"] == outputs["cold"]
         assert outputs["warm2"] == outputs["cold"]
         assert outputs["changed"] == outputs["cold"]
+
+
+class TestRealTreeCoverage:
+    """The lint layers still see the repo's own fan-out code.
+
+    T301 roots its reachability at modules naming ``ThreadPoolExecutor``
+    and P601–P604 only follow pool dispatches whose entrypoint resolves;
+    moving a pool or passing an entrypoint as a parameter would leave
+    both layers silently looking at nothing.
+    """
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return ProjectGraph.build(
+            REPO_ROOT, collect_files([REPO_ROOT / "src"])
+        )
+
+    def test_t301_reaches_the_pipeline_and_annotator(self, graph):
+        roots = {
+            name
+            for name, info in graph.modules.items()
+            if _uses_thread_pool(info.tree)
+        }
+        assert {"repro.core.objectrunner", "repro.metrics.bench"} <= roots
+        rule = SharedStateRule()
+        rule.prepare_graph(graph)
+        for module in ("repro.core.pipeline", "repro.annotation.annotator"):
+            assert graph.modules[module].path in rule._reachable_files
+
+    def test_every_process_dispatch_resolves_its_entrypoint(self, graph):
+        analysis = process_boundary(graph)
+        assert {dispatch.entry for dispatch in analysis.dispatches} == {
+            "repro.core.objectrunner:_run_process_shard",
+            "repro.metrics.bench:_bench_shard_worker",
+        }
+        assert (
+            "repro.core.pipeline:Pipeline.run" in analysis.worker_reachable
+        )

@@ -8,6 +8,7 @@ import pytest
 from repro.core import ObjectRunner, RunParams, ShardSpec
 from repro.core.faults import FaultInjector, FaultSpec
 from repro.core.pipeline import TimingObserver
+from repro.core.sharding import partition
 from repro.datasets import build_knowledge, domain_spec, generate_source
 from repro.datasets.sites import SiteSpec
 from repro.errors import MultiSourceError, ProcessBackendConfigError
@@ -215,6 +216,47 @@ class TestProcessFailurePolicies:
             roots["thread"] / "index.json"
         ).read_bytes()
 
+    def test_fail_fast_reaches_the_same_sources_in_every_pooled_backend(
+        self, four_sources, tmp_path
+    ):
+        # Each hash-mod shard stops at its own first failure, so thread/4
+        # reaches exactly the sources process/4 reaches, on every run;
+        # what the batch returns and writes is still the serial prefix.
+        domain, knowledge, sources = four_sources
+        mixed = self.failing_sources(sources)
+        reached = set()
+        for __, ids in partition(mixed, 4):
+            cut = ids.index("bad") + 1 if "bad" in ids else len(ids)
+            reached.update(ids[:cut])
+        runs = (("thread", 1), ("process", 4), ("thread", 4), ("thread", 4))
+        seen = []
+        for run, (backend, workers) in enumerate(runs):
+            root = tmp_path / f"{backend}-{workers}-{run}"
+            observer = MetricsObserver()
+            runner = make_runner(
+                domain, knowledge, registry_root=root,
+                observers=(observer,), max_workers=workers,
+                backend=backend, failure_policy="fail_fast",
+            )
+            with pytest.raises(MultiSourceError) as excinfo:
+                runner.run_sources(mixed)
+            seen.append({
+                "sources": list(observer.sources()),
+                "counters": observer.merged_registry().counters_snapshot(),
+                "cache_misses": observer.cache_stats()["misses"],
+                "registry": runner.wrapper_registry.stats(),
+                "partial": as_bytes(excinfo.value.partial),
+                "index": (root / "index.json").read_bytes(),
+            })
+        serial, process, *threads = seen
+        assert serial["sources"] == ["proc-0", "proc-1", "bad"]
+        assert process["sources"] == [s for s in mixed if s in reached]
+        for thread in threads:
+            assert thread == process
+        for pooled in (process, *threads):
+            assert pooled["partial"] == serial["partial"]
+            assert pooled["index"] == serial["index"]
+
 
 class TestProcessBackendSupport:
     # Rejection happens at *construction* time — before any worker
@@ -292,8 +334,7 @@ class TestProcessBackendSupport:
             domain, knowledge, max_workers=4, backend="process"
         )
         monkeypatch.setattr(
-            runner,
-            "_run_items_process",
+            "repro.core.objectrunner.ProcessPoolExecutor",
             lambda *a, **k: pytest.fail("process fan-out on a small batch"),
         )
         outcome = runner.run_sources({first: sources[first]})
