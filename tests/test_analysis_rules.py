@@ -1,10 +1,16 @@
 """Fixture-based positive/negative cases for each determinism rule."""
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import analyze_file, build_rules
+from repro.analysis.engine import collect_files
+from repro.analysis.graph import ProjectGraph
+from repro.analysis.rules.concurrency import SharedStateRule, _uses_thread_pool
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_rule(tmp_path, rule_id, source, name="mod.py"):
@@ -325,6 +331,27 @@ class TestSharedStateT301:
             },
         )
         assert not findings
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return ProjectGraph.build(
+            REPO_ROOT, collect_files([REPO_ROOT / "src"])
+        )
+
+    def test_t301_reaches_the_pipeline_and_annotator(self, graph):
+        # T301 roots its reachability at modules naming
+        # ThreadPoolExecutor; moving the pools out of the callers' modules
+        # would leave it silently looking at nothing.
+        roots = {
+            name
+            for name, info in graph.modules.items()
+            if _uses_thread_pool(info.tree)
+        }
+        assert {"repro.core.objectrunner", "repro.metrics.bench"} <= roots
+        rule = SharedStateRule()
+        rule.prepare_graph(graph)
+        for module in ("repro.core.pipeline", "repro.annotation.annotator"):
+            assert graph.modules[module].path in rule._reachable_files
 
 
 def analyze_tree(tmp_path, rule_id, files, scan=None):
