@@ -413,9 +413,8 @@ def _cmd_registry(args: argparse.Namespace) -> int:
     if args.action == "ls":
         rows = wrapper_registry.index_rows()
         for signature, row in rows:
-            kind = row.get("kind", "wrapper")
             print(
-                f"{signature}  kind={kind}  source={row['source']}  "
+                f"{signature}  kind={row['kind']}  source={row['source']}  "
                 f"sod={row['sod']}"
             )
         print(f"{len(rows)} entries in {args.root}", file=sys.stderr)

@@ -6,10 +6,7 @@ that.  This package is the enforcement: an AST-based rule engine
 (:mod:`repro.analysis.engine`) with determinism, stage-contract and
 concurrency rules (:mod:`repro.analysis.rules`), inline ``# repro:
 ignore[RULE-ID]`` suppressions, a committed baseline of justified
-findings (:mod:`repro.analysis.baseline`), schema-contract inference
-over every serialized-artifact boundary (:mod:`repro.analysis.schemas`,
-rules S501–S504, the ``schemas.json`` snapshot), and text/JSON
-reporters.
+findings (:mod:`repro.analysis.baseline`), and text/JSON reporters.
 
 Run it with ``python -m repro.analysis src`` (or the ``reprolint``
 console script).  The rule catalog lives in ``docs/ANALYSIS.md``.
@@ -39,26 +36,14 @@ from repro.analysis.engine import (
 )
 from repro.analysis.graph import ProjectGraph
 from repro.analysis.reporters import render_json, render_text, summarize
-from repro.analysis.schemas import (
-    ArtifactFamily,
-    FamilyContract,
-    ProjectSchemas,
-    load_snapshot,
-    project_schemas,
-    render_snapshot,
-    schemas_snapshot,
-)
 
 __all__ = [
     "AnalysisReport",
-    "ArtifactFamily",
     "BaselineEntry",
-    "FamilyContract",
     "FileContext",
     "Finding",
     "FunctionSummary",
     "ProjectGraph",
-    "ProjectSchemas",
     "ResultCache",
     "Rule",
     "TaintAnalyzer",
@@ -69,16 +54,12 @@ __all__ = [
     "build_rules",
     "content_hash",
     "load_baseline",
-    "load_snapshot",
     "main",
-    "project_schemas",
     "register_rule",
     "render_json",
-    "render_snapshot",
     "render_text",
     "rule_registry",
     "save_baseline",
-    "schemas_snapshot",
     "summarize",
     "suppressed_rules",
     "updated_baseline",

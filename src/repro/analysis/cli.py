@@ -12,12 +12,8 @@ touches plus untracked files — whole-program rules still see the whole
 tree, and either mode's output stays byte-identical to a cold full run
 over the same checked set.
 
-Schema snapshots: ``--schemas-out FILE`` additionally writes the
-machine-readable schema-contract snapshot of
-:mod:`repro.analysis.schemas` (the committed copy is ``schemas.json``;
-S502 and the CI diff check both compare against it).  Baseline
-deadlines: ``--today YYYY-MM-DD`` enforces the ``expires`` field of
-baseline entries — overdue entries fail the run.
+Baseline deadlines: ``--today YYYY-MM-DD`` enforces the ``expires``
+field of baseline entries — overdue entries fail the run.
 """
 
 from __future__ import annotations
@@ -139,12 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         "content-only rules when the file's hash is unchanged",
     )
     parser.add_argument(
-        "--schemas-out",
-        metavar="FILE",
-        help="also write the schema-contract snapshot (writer keys, "
-        "reader contracts, versions per artifact family) to FILE",
-    )
-    parser.add_argument(
         "--today",
         metavar="YYYY-MM-DD",
         help="enforce baseline 'expires' deadlines against this date "
@@ -236,29 +226,6 @@ def _scope_prefixes(paths: list[Path], root: Path) -> list[str] | None:
     return prefixes
 
 
-def _write_schemas(out: str, report, paths: list[Path], root: Path) -> None:
-    """Write the schema-contract snapshot, reusing the run's graph.
-
-    A run whose rules needed the project graph already built it; a
-    rule-scoped run without graph rules builds one here from the same
-    collected file set, so the snapshot is identical either way.
-    """
-    from repro.analysis.engine import collect_files
-    from repro.analysis.graph import ProjectGraph
-    from repro.analysis.schemas import (
-        project_schemas,
-        render_snapshot,
-        schemas_snapshot,
-    )
-
-    graph = report.graph
-    if graph is None:
-        graph = ProjectGraph.build(root, collect_files(paths))
-    text = render_snapshot(schemas_snapshot(project_schemas(graph)))
-    Path(out).write_text(text, encoding="utf-8")
-    print(f"reprolint: schema snapshot written to {out}", file=sys.stderr)
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -320,9 +287,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     if cache is not None:
         cache.save()
-
-    if args.schemas_out:
-        _write_schemas(args.schemas_out, report, paths, root)
 
     baseline_path = Path(args.baseline)
     entries: list = []

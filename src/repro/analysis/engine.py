@@ -339,9 +339,6 @@ class AnalysisReport:
     unjustified_baseline: list[dict] = field(default_factory=list)
     #: Baseline entries past their ``expires`` deadline (``--today``).
     overdue_baseline: list[dict] = field(default_factory=list)
-    #: The shared project graph, when a requires_graph rule forced its
-    #: construction this run (``--schemas-out`` reuses it).
-    graph: object = field(default=None, repr=False, compare=False)
 
     def by_status(self, status: str) -> list[Finding]:
         """The findings currently carrying the given status."""
@@ -389,7 +386,6 @@ def analyze_paths(
     files = collect_files(paths)
     for rule in rule_list:
         rule.prepare(root, files)
-    shared_graph = None
     if any(rule.requires_graph for rule in rule_list):
         from repro.analysis.graph import ProjectGraph
 
@@ -403,9 +399,7 @@ def analyze_paths(
         cache.prune({_relpath(f, root) for f in files})
     if only is not None:
         files = [f for f in files if _relpath(f, root) in only]
-    report = AnalysisReport(
-        root=root, files_scanned=len(files), graph=shared_graph
-    )
+    report = AnalysisReport(root=root, files_scanned=len(files))
     if not files:
         return report
 

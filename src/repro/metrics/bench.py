@@ -447,11 +447,11 @@ class BenchSession:
     def capture(self) -> dict:
         """Run every configured system and build the BENCH document.
 
-        The document's top-level shape is the ``bench`` artifact family
-        statically tracked by :mod:`repro.analysis.schemas`: adding or
-        renaming a key here without bumping ``BENCH_SCHEMA_VERSION``
-        fails reprolint S502 against the committed ``schemas.json``, and
-        S504 checks :func:`compare_documents` stays tolerant of every
+        The document's top-level keys are pinned per
+        ``BENCH_SCHEMA_VERSION`` by ``tests/test_artifact_contracts.py``:
+        adding or renaming a key here without bumping the version fails
+        there, and the same module runs :func:`compare_documents`,
+        :func:`bench_digest` and :func:`merge_documents` over every
         committed ``BENCH_*.json``.
         """
         systems_doc: dict[str, dict] = {}

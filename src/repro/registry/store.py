@@ -37,9 +37,9 @@ from repro.wrapper.generate import Wrapper
 from repro.wrapper.serialize import wrapper_from_dict, wrapper_to_dict
 
 #: Version of the on-disk entry/index layout; bumped on breaking change.
-#: The entry and index shapes are the ``registry_entry``/
-#: ``registry_index`` artifact families of :mod:`repro.analysis.schemas`;
-#: reprolint S502 demands a bump here when either shape changes.
+#: The entry, tombstone and index shapes are pinned per version by
+#: ``tests/test_artifact_contracts.py``: a shape change that does not
+#: bump this constant fails there.
 #: v2: entries carry a ``kind`` ("wrapper" or "discard") and discard
 #: tombstones (nullable ``wrapper``, ``discard`` stage/reason block), so
 #: a source whose induction ended in a principled discard is *remembered*
@@ -49,6 +49,9 @@ REGISTRY_SCHEMA_VERSION = 2
 #: ``RegistryEntry.kind`` values.
 KIND_WRAPPER = "wrapper"
 KIND_DISCARD = "discard"
+
+#: Fields of one ``index.json`` row, each a string.
+_INDEX_ROW_KEYS = ("kind", "sod", "fingerprint", "source")
 
 #: Conflict precedence of entry kinds: a real wrapper always beats a
 #: discard tombstone for the same signature.
@@ -259,7 +262,22 @@ class WrapperRegistry:
         entries = data.get("entries")
         if not isinstance(entries, dict):
             raise RegistryError(f"{self.index_path}: missing 'entries' object")
-        return {sig: dict(row) for sig, row in sorted(entries.items())}
+        return {
+            sig: self._index_row(sig, row)
+            for sig, row in sorted(entries.items())
+        }
+
+    def _index_row(self, signature: str, row: Any) -> dict[str, str]:
+        """Validate one index row; raises :class:`RegistryError` naming it."""
+        where = f"{self.index_path}: entry {signature!r}"
+        if not isinstance(row, dict):
+            raise RegistryError(f"{where}: expected a JSON object")
+        for key in _INDEX_ROW_KEYS:
+            if not isinstance(row.get(key), str):
+                raise RegistryError(f"{where}: field {key!r} must be a string")
+        if row["kind"] not in (KIND_WRAPPER, KIND_DISCARD):
+            raise RegistryError(f"{where}: unknown entry kind {row['kind']!r}")
+        return dict(row)
 
     def _write_index(self) -> None:
         document = {

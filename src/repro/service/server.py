@@ -22,10 +22,9 @@ that is not an object, or a request carrying keys outside
 :data:`KNOWN_REQUEST_KEYS` — gets a typed ``ok: false`` response and
 never takes the loop down.
 
-The request key set read here and the response shapes built here are
-the ``serve_request``/``serve_response`` artifact families statically
-tracked by :mod:`repro.analysis.schemas` (rules S501/S503 and the
-committed ``schemas.json`` snapshot).
+``tests/test_artifact_contracts.py`` drops each request key in turn
+and pins that every malformed request comes back as a typed ``ok:
+false`` response, never a bare ``KeyError`` or ``TypeError``.
 """
 
 from __future__ import annotations
@@ -162,7 +161,9 @@ class ExtractionService:
 
     def _runner(self, sod_text: str, dicts: Any) -> ObjectRunner:
         """A memoized runner for this (canonical SOD, dictionaries) pair."""
-        if not isinstance(dicts, dict):
+        if not isinstance(dicts, dict) or not all(
+            isinstance(values, list) for values in dicts.values()
+        ):
             raise ReproError("'dicts' must map type names to value lists")
         sod = parse_sod(sod_text)
         digest = hashlib.sha256(
