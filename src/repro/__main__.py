@@ -78,7 +78,7 @@ from pathlib import Path
 
 from repro.core.faults import FAILURE_POLICIES
 from repro.core.objectrunner import ObjectRunner
-from repro.core.params import BACKENDS, RunParams
+from repro.core.params import RunParams
 from repro.core.sharding import ShardSpec
 from repro.core.pipeline import TraceObserver
 from repro.errors import ReproError
@@ -148,7 +148,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         params = RunParams().with_overrides(
             failure_policy=args.failure_policy,
             max_retries=args.max_retries,
-            backend=args.backend,
             shard=shard,
         )
     except ValueError as exc:
@@ -305,7 +304,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             shard=_parse_shard(args.shard),
             backend=args.backend,
             workers=args.workers,
-            compare_backends=args.compare_backends,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -519,13 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fanning invocations out across shards gets a disjoint, "
         "exhaustive partition of its sources",
     )
-    extract.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="thread",
-        help="multi-source fan-out backend for programmatic run_sources "
-        "batches (default: thread)",
-    )
     extract.add_argument("pages", nargs="+", help="HTML files of one source")
     extract.set_defaults(func=_cmd_extract)
 
@@ -631,23 +622,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--backend",
-        choices=("serial", "thread", "process"),
+        choices=("serial", "process"),
         default="serial",
         help="sweep backend: serial loop, or hash-mod sub-shards on a "
-        "thread/process pool (default: serial)",
+        "process pool (default: serial)",
     )
     bench.add_argument(
         "--workers",
         type=int,
         default=1,
         metavar="N",
-        help="pool width of the thread/process backends (default: 1)",
-    )
-    bench.add_argument(
-        "--compare-backends",
-        action="store_true",
-        help="also time the alternate pooled backend over the same "
-        "catalog and record it under sharding.reference in the document",
+        help="worker processes of the process backend (default: 1)",
     )
     bench.add_argument(
         "--merge-shards",

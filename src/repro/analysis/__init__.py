@@ -3,8 +3,8 @@
 The staged pipeline promises byte-identical parallel/serial multi-source
 runs and reproducible extraction given a seed; nothing in Python enforces
 that.  This package is the enforcement: an AST-based rule engine
-(:mod:`repro.analysis.engine`) with determinism, stage-contract and
-concurrency rules (:mod:`repro.analysis.rules`), inline ``# repro:
+(:mod:`repro.analysis.engine`) with determinism, stage-contract,
+exception and API rules (:mod:`repro.analysis.rules`), inline ``# repro:
 ignore[RULE-ID]`` suppressions, a committed baseline of justified
 findings (:mod:`repro.analysis.baseline`), and text/JSON reporters.
 

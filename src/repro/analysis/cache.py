@@ -8,7 +8,7 @@ file without editing it stays a hit, and any edit is a guaranteed miss.
 Only rules marked ``cacheable`` participate: those whose findings depend
 on nothing but the one file's content (the determinism family D101–D105,
 plus parse errors).  Whole-program rules (the graph/dataflow family,
-stage contracts, T301) re-run every time — their findings can change
+stage contracts) re-run every time — their findings can change
 when *other* files change, so caching them by single-file hash would be
 wrong.  The engine merges cached and fresh findings back into one sorted
 list, which is why a warm run is byte-identical to a cold one.

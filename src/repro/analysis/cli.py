@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="reprolint",
         description=(
             "AST-based static analysis enforcing determinism, stage "
-            "contracts and concurrency safety across the repro codebase"
+            "contracts, exception contracts and public-API health across "
+            "the repro codebase"
         ),
     )
     parser.add_argument(

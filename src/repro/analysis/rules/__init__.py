@@ -11,13 +11,12 @@ Rule id    Check
 ``D106``   tainted (clock/RNG/env/set-order) value reaching an artifact
 ``C201``   stage context access outside the declared reads/writes
 ``C202``   undeclared context access through helpers the stage calls
-``T301``   module-level state written by pool-reachable code
 ``E401``   exception-contract violation in stage-reachable code
 ``A501``   public-API drift (broken export / unreachable symbol)
 =========  ==============================================================
 
 D101–D105 are per-file (and cacheable by content hash); D106, C202,
-T301, E401 and A501 are whole-program rules built on the shared
+E401 and A501 are whole-program rules built on the shared
 :class:`repro.analysis.graph.ProjectGraph` (D106 adds the taint pass of
 :mod:`repro.analysis.dataflow`).
 The full catalog with rationale and examples lives in
@@ -25,7 +24,6 @@ The full catalog with rationale and examples lives in
 """
 
 from repro.analysis.rules.api import ApiDriftRule
-from repro.analysis.rules.concurrency import SharedStateRule
 from repro.analysis.rules.contracts import (
     ALWAYS_ALLOWED,
     StageContract,
@@ -50,7 +48,6 @@ __all__ = [
     "ApiDriftRule",
     "ExceptionContractRule",
     "SetOrderRule",
-    "SharedStateRule",
     "StageContract",
     "StageContractRule",
     "TaintToArtifactRule",

@@ -9,7 +9,8 @@ is a named :class:`~repro.core.pipeline.Stage` running over a shared
 :class:`~repro.core.pipeline.PipelineContext`.  Observers subscribe to
 stage start/end events for timings, counters and JSON-lines tracing;
 preprocessing memoizes through :class:`~repro.core.cache.PreprocessCache`;
-multi-source runs parallelize with ``RunParams.max_workers``.
+multi-source runs parallelize with ``RunParams(backend="process",
+max_workers=N)``.
 """
 
 from repro.core.cache import CachedPages, PreprocessCache

@@ -12,7 +12,6 @@ escape.
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -33,28 +32,18 @@ class CachedPages:
 class PreprocessCache:
     """LRU cache of cleaned page trees, keyed by raw-content hash.
 
-    Thread-safe: a single cache may serve a parallel multi-source run.
-    The expensive tidy/clean computation happens outside the lock, so
-    concurrent misses on *different* pages do not serialize.  Two threads
-    racing on the *same* page may both compute it; the loser detects the
-    winner's entry under the second lock, discards its own tree (keeping
-    the winner's LRU recency intact) and counts the redundant computation
-    as a ``race`` instead of a second ``miss`` — so ``misses`` equals the
-    number of computations that actually populated the cache, and
-    ``hits + misses`` accounts for every request served without
-    redundant work.
+    One cache serves one process: the process backend gives every worker
+    its own, and nothing shares a cache across threads.  ``misses``
+    counts the tidy/clean computations that populated the cache, so
+    ``hits + misses`` accounts for every request.
     """
 
     def __init__(self, max_entries: int = 512):
         self.max_entries = max(1, max_entries)
         self._entries: OrderedDict[str, Element] = OrderedDict()
-        self._lock = threading.Lock()
         #: Lifetime hit/miss totals, for diagnostics.
         self.hits = 0
         self.misses = 0
-        #: Same-key compute races lost: the tree was computed redundantly
-        #: because another thread inserted the key first.
-        self.races = 0
 
     @staticmethod
     def key_for(raw: str) -> str:
@@ -80,49 +69,33 @@ class PreprocessCache:
 
     def _clean_one(self, raw: str) -> tuple[Element, bool]:
         key = self.key_for(raw)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-        if cached is not None:
-            copy = clone(cached)
-            assert isinstance(copy, Element)
-            return copy, True
-        tree = clean_tree(tidy(raw))
-        with self._lock:
-            winner = self._entries.get(key)
-            if winner is not None:
-                # Another thread computed and inserted this key while we
-                # were computing: keep the winner's tree and LRU recency.
-                self.races += 1
-                tree = winner
-            else:
-                self.misses += 1
-                self._entries[key] = tree
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
+        tree = self._entries.get(key)
+        hit = tree is not None
+        if hit:
+            self._entries.move_to_end(key)
+            self.hits += 1
+        else:
+            tree = clean_tree(tidy(raw))
+            self.misses += 1
+            self._entries[key] = tree
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
         copy = clone(tree)
         assert isinstance(copy, Element)
-        return copy, False
+        return copy, hit
 
     def clear(self) -> None:
         """Drop every cached tree (hit/miss totals are kept)."""
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def __len__(self) -> int:
         """Number of trees currently cached."""
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def stats(self) -> dict[str, int]:
-        """Lifetime ``hits``/``misses``/``races``/``entries`` snapshot."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "races": self.races,
-                "entries": len(self._entries),
-            }
+        """Lifetime ``hits``/``misses``/``entries`` snapshot."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "entries": len(self._entries),
+        }

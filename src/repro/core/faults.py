@@ -28,7 +28,6 @@ tests never wall-sleep.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
@@ -76,7 +75,7 @@ class RetryPolicy:
     itself.  The jitter is drawn from a :class:`DeterministicRng` seeded
     by ``(seed, source, stage, attempt)``, so the full delay schedule is
     a pure function of the policy and the retry coordinates — no shared
-    RNG state, no cross-thread ordering effects.
+    RNG state, no ordering effects.
     """
 
     #: Extra attempts after the first (0 disables retrying).
@@ -119,7 +118,7 @@ class RetryPolicy:
         """Seconds to back off before retry number ``attempt`` (1-based).
 
         Deterministic: the same ``(policy, source, stage, attempt)``
-        always yields the same delay, on any thread, in any order.
+        always yields the same delay, in any order.
         """
         if attempt < 1:
             raise ValueError(f"attempt is 1-based, got {attempt}")
@@ -244,8 +243,8 @@ class FaultInjector:
     ``transient`` raises :class:`~repro.errors.TransientSourceError` (so
     the pipeline's retry loop engages), and ``delay`` sleeps through the
     injectable ``sleep``.  Attempts are counted per ``(source, stage)``
-    under a lock, so the harness is safe under the parallel multi-source
-    executor, and probabilistic faults flip a coin seeded by
+    (injected runs are serial: the process backend rejects an injector),
+    and probabilistic faults flip a coin seeded by
     ``(seed, source, stage, attempt)`` — re-running the same
     configuration reproduces the same faults exactly.
 
@@ -264,11 +263,9 @@ class FaultInjector:
         self.specs = list(specs)
         self.seed = seed
         self._sleep: SleepFn = sleep if sleep is not None else wall_sleep
-        self._lock = threading.Lock()
         self._attempts: dict[tuple[str, str], int] = {}
         #: Log of fired faults: (source, stage, kind, attempt) tuples in
-        #: firing order (ordering across threads is scheduling-dependent;
-        #: per-source order is not).
+        #: firing order.
         self.fired: list[tuple[str, str, str, int]] = []
         #: ``stage_retry`` events seen while subscribed as an observer.
         self.retries_observed: list["PipelineEvent"] = []
@@ -285,8 +282,7 @@ class FaultInjector:
 
     def attempts(self, source: str, stage: str) -> int:
         """How many attempts the given source/stage has made so far."""
-        with self._lock:
-            return self._attempts.get((source, stage), 0)
+        return self._attempts.get((source, stage), 0)
 
     def fire(self, source: str, stage: str) -> None:
         """Apply the first matching fault for this attempt, if any.
@@ -295,10 +291,9 @@ class FaultInjector:
         even when no fault fires so ``times`` budgets line up with the
         pipeline's retry numbering.
         """
-        with self._lock:
-            key = (source, stage)
-            attempt = self._attempts.get(key, 0) + 1
-            self._attempts[key] = attempt
+        key = (source, stage)
+        attempt = self._attempts.get(key, 0) + 1
+        self._attempts[key] = attempt
         spec = next(
             (s for s in self.specs if s.matches(source, stage)), None
         )
@@ -310,8 +305,7 @@ class FaultInjector:
             )
             if not rng.coin(spec.probability):
                 return
-        with self._lock:
-            self.fired.append((source, stage, spec.kind, attempt))
+        self.fired.append((source, stage, spec.kind, attempt))
         if spec.kind == DELAY:
             self._sleep(spec.delay)
             return
@@ -336,8 +330,7 @@ class FaultInjector:
 
     def on_stage_retry(self, event: "PipelineEvent", ctx: "PipelineContext") -> None:
         """Record a retry event triggered by (possibly) injected faults."""
-        with self._lock:
-            self.retries_observed.append(event)
+        self.retries_observed.append(event)
 
     def on_pipeline_end(self, event: "PipelineEvent", ctx: "PipelineContext") -> None:
         """Observer hook: nothing to do at run end."""

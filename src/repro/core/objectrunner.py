@@ -23,7 +23,7 @@ and counters of every run.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -85,8 +85,8 @@ class _ProcessShardTask:
     Every field is picklable: the runner is *rebuilt* in the worker (with
     its own :class:`PreprocessCache`, :class:`MetricsObserver` and
     wrapper-registry handle) rather than shipped, because the live runner
-    holds locks and open observers.  ``params`` arrives pre-flattened to
-    a serial thread backend so workers never recurse into fan-out.
+    holds open observers.  ``params`` arrives pre-flattened to the serial
+    backend so workers never recurse into fan-out.
     """
 
     sod: SodType
@@ -106,8 +106,8 @@ def _run_process_shard(task: _ProcessShardTask) -> ShardResult:
     """Run one shard inside a worker process (module-level for pickling).
 
     Rebuilds the runner over a private registry handle and runs the
-    same :meth:`ObjectRunner._run_shard` loop the in-process backends
-    use.  Nothing is written to the shared registry here: the staged
+    same :meth:`ObjectRunner._run_shard` loop the in-process path
+    uses.  Nothing is written to the shared registry here: the staged
     writes, per-source metrics and counters ship home for the parent's
     :func:`~repro.core.sharding.fold`.
     """
@@ -441,11 +441,11 @@ class ObjectRunner:
     ) -> "MultiSourceResult":
         """Run the pipeline over several sources of the same domain.
 
-        With ``params.max_workers = N > 1`` the batch splits into ``N``
-        hash-mod shards (:func:`~repro.core.sharding.partition`) that run
-        concurrently on a thread pool, or on worker processes with
-        ``backend="process"``; results keep the input order, so the
-        outcome is identical to a serial run.  Enrichment runs force
+        With ``backend="process"`` and ``params.max_workers = N > 1`` the
+        batch splits into ``N`` hash-mod shards
+        (:func:`~repro.core.sharding.partition`) that run concurrently in
+        worker processes; results keep the input order, so the outcome
+        is identical to a serial run.  Enrichment runs force
         serial execution: gazetteer growth feeds later sources, which is
         inherently order-dependent.
 
@@ -579,20 +579,13 @@ class ObjectRunner:
     ) -> list[ShardResult]:
         """Run every shard on the configured backend, in shard order.
 
-        One shard runs in-process.  Several run on a thread pool, or —
-        with ``backend="process"`` — one worker process each; a worker
+        One shard runs in-process.  Several (only reachable with
+        ``backend="process"``) run one worker process each; a worker
         rebuilds the runner from a picklable task spec and ships its
         metrics and counters home with the result.
         """
         if len(shards) < 2:
             return [self._run_shard(shard, isolate) for shard in shards]
-        if self.params.backend != "process":
-            with ThreadPoolExecutor(max_workers=len(shards)) as threads:
-                futures = [
-                    threads.submit(self._run_shard, shard, isolate)
-                    for shard in shards
-                ]
-            return [future.result() for future in futures]
         self._check_process_backend_support()
         registry = self._active_registry()
         child_params = self.params.with_overrides(
@@ -623,28 +616,30 @@ class ObjectRunner:
         """Reject runner features that cannot cross a process boundary.
 
         Fault injectors and custom sleep callables hold process-local
-        state (locks, recorded calls) the workers could not honor;
+        state (attempt counts, recorded calls) the workers could not honor;
         non-metrics observers would silently see nothing.  Failing loudly
         beats a run that quietly measures less than it claims.
 
         Runs at construction time (``__init__``/:meth:`add_observer`
-        when ``params.backend == "process"``), so a misconfigured
-        ``repro extract --backend process`` fails with a typed
-        :class:`ProcessBackendConfigError` naming the offending field
-        before any worker spawns.  The dispatch path re-checks as a
-        backstop for callers that mutate runner attributes directly.
+        when ``params.backend == "process"``), so a misconfigured runner
+        fails with a typed :class:`ProcessBackendConfigError` naming the
+        offending field before any worker spawns.  The dispatch path
+        re-checks as a backstop for callers that mutate runner attributes
+        directly.
         """
         if self.fault_injector is not None:
             raise ProcessBackendConfigError(
                 "fault_injector",
                 "the process backend does not support a fault injector; "
-                "use backend='thread' for fault-injection runs",
+                "run fault-injection runs serially (default backend, "
+                "max_workers=1)",
             )
         if self._sleep is not None:
             raise ProcessBackendConfigError(
                 "sleep",
                 "the process backend does not support a custom sleep "
-                "callable; use backend='thread'",
+                "callable; run custom-sleep runs serially (default "
+                "backend, max_workers=1)",
             )
         unsupported = [
             type(observer).__name__

@@ -8,9 +8,10 @@ from dataclasses import dataclass
 from repro.core.faults import FAILURE_POLICIES
 from repro.core.sharding import ShardSpec
 
-#: Execution backends of ``run_sources``: worker threads (cheap, shares
-#: every in-process cache, but GIL-bound on the CPU-heavy induction path)
-#: or worker processes (per-shard fan-out with true parallelism).
+#: Execution backends of ``run_sources``: ``"thread"`` runs in the calling
+#: thread (valid only at ``max_workers=1``; the pipeline holds the GIL, so
+#: a thread pool ran slower than serial), ``"process"`` fans hash-mod
+#: shards out to worker processes.
 BACKENDS = ("thread", "process")
 
 
@@ -51,9 +52,10 @@ class RunParams:
     #: below ``total_records * chaos_ratio`` cells).  0 treats every
     #: level as chaotic, 1 effectively disables the check.
     chaos_ratio: float = 0.5
-    #: Worker threads for multi-source runs (``run_sources``): independent
-    #: sources wrap concurrently when > 1.  Enrichment runs force serial
-    #: execution because gazetteer growth is order-dependent.
+    #: Worker processes for multi-source runs (``run_sources``): with
+    #: ``backend="process"`` independent sources wrap concurrently when
+    #: > 1.  Enrichment runs force serial execution because gazetteer
+    #: growth is order-dependent.
     max_workers: int = 1
     #: How ``run_sources`` treats an unexpected per-source failure:
     #: ``"fail_fast"`` cancels pending sources and raises
@@ -66,11 +68,12 @@ class RunParams:
     #: :class:`~repro.errors.TransientSourceError` (0 disables retrying);
     #: backoff follows :class:`~repro.core.faults.RetryPolicy`.
     max_retries: int = 0
-    #: Execution backend of ``run_sources``: ``"thread"`` fans sources out
-    #: on a thread pool sharing the runner's caches; ``"process"`` splits
-    #: them into ``max_workers`` hash-mod shards, runs each in a worker
-    #: process with its own cache/metrics/registry view, and merges with
-    #: the order-pinned semantics — byte-identical output either way.
+    #: Execution backend of ``run_sources``: ``"thread"`` runs every
+    #: source in the calling thread and requires ``max_workers=1``;
+    #: ``"process"`` splits the batch into ``max_workers`` hash-mod shards,
+    #: runs each in a worker process with its own cache/metrics/registry
+    #: view, and merges with the order-pinned semantics — byte-identical
+    #: output either way.
     backend: str = "thread"
     #: Restrict ``run_sources`` to the sources of one deterministic
     #: hash-mod shard (:class:`~repro.core.sharding.ShardSpec`); ``None``
@@ -99,6 +102,11 @@ class RunParams:
             known = ", ".join(BACKENDS)
             raise ValueError(
                 f"unknown backend {self.backend!r} (known: {known})"
+            )
+        if self.backend == "thread" and self.max_workers > 1:
+            raise ValueError(
+                f"max_workers={self.max_workers} needs backend=\"process\"; "
+                "the thread backend runs serially (max_workers=1)"
             )
         if self.shard is not None and not isinstance(self.shard, ShardSpec):
             raise ValueError(

@@ -143,10 +143,9 @@ class PipelineObserver:
     """Receiver of pipeline lifecycle events; subclass and override.
 
     All hooks are no-ops by default, so observers override only what they
-    care about.  Hooks run synchronously on the pipeline's thread; under a
-    parallel multi-source run they may be invoked from several worker
-    threads at once, so observers shared across sources must synchronize
-    their own mutable state (the bundled observers all do).
+    care about.  Hooks run synchronously on the pipeline's thread.  A
+    process-backend run builds its own observers in each worker, so an
+    observer instance never sees two sources at once.
     """
 
     def on_pipeline_start(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
@@ -280,12 +279,10 @@ class StageEventCollector(PipelineObserver):
 
     The benchmark harness and :class:`~repro.core.objectrunner.
     ObjectRunnerSystem` subscribe one of these instead of reaching into
-    ``SourceResult`` internals.  Thread-safe, so a single collector can
-    aggregate a parallel multi-source run.
+    ``SourceResult`` internals.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         #: Total wall-clock seconds per stage name.
         self.elapsed: dict[str, float] = {}
         #: Summed context counters across all observed runs.
@@ -297,31 +294,26 @@ class StageEventCollector(PipelineObserver):
 
     def on_stage_end(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
         """Fold the stage's elapsed time and counter deltas into totals."""
-        with self._lock:
-            self.elapsed[event.stage] = (
-                self.elapsed.get(event.stage, 0.0) + event.elapsed
-            )
-            self.counters.update(event.counters)
+        self.elapsed[event.stage] = (
+            self.elapsed.get(event.stage, 0.0) + event.elapsed
+        )
+        self.counters.update(event.counters)
 
     def on_stage_retry(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
         """Count the retry against its stage."""
-        with self._lock:
-            self.retries[event.stage] += 1
+        self.retries[event.stage] += 1
 
     def on_pipeline_end(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
         """Record the finished run."""
-        with self._lock:
-            self.completed.append(event)
+        self.completed.append(event)
 
     def stage_seconds(self, stage: str) -> float:
         """Total observed wall-clock of one stage (0.0 if it never ran)."""
-        with self._lock:
-            return self.elapsed.get(stage, 0.0)
+        return self.elapsed.get(stage, 0.0)
 
     def stage_retries(self, stage: str) -> int:
         """Total observed retries of one stage (0 if it never retried)."""
-        with self._lock:
-            return self.retries[stage]
+        return self.retries[stage]
 
 
 # -- context --------------------------------------------------------------

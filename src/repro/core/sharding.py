@@ -19,7 +19,7 @@ pin down.
 The same partition drives the fan-out inside one run.
 ``ObjectRunner.run_sources`` and the bench sweep both split a batch with
 :func:`partition`, run each shard through their own per-shard loop
-(serially, on a thread pool or in a worker process), collect one
+(in-process, or one worker process per shard), collect one
 :class:`ShardResult` per shard and merge them with :func:`fold`, whose
 result is pinned to input order and so cannot depend on the backend or
 on scheduling.

@@ -7,7 +7,7 @@ one schema-versioned JSON artifact at the repository root —
 
 - per-domain ``Pc``/``Pp`` and object classification counts per system,
 - per-stage timing summaries (min/max/mean/p50/p95) from pipeline events,
-- preprocessing-cache hit/miss/races statistics,
+- preprocessing-cache hit/miss statistics,
 - wrapping-time summaries, peak RSS, scale/coverage/seed configuration.
 
 ``BENCH_0.json`` is the committed baseline; every subsequent capture gets
@@ -28,8 +28,7 @@ import json
 import os
 import platform
 import sys
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -69,12 +68,13 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 #: Version of the BENCH artifact schema; bump on incompatible changes.
 #: v2 added the execution keys (``config.shard``/``backend``/``workers``)
 #: and the top-level ``sharding`` block with per-shard wall timings.
-BENCH_SCHEMA_VERSION = 2
+#: v3 dropped the cache ``races`` counter and ``sharding.reference``.
+BENCH_SCHEMA_VERSION = 3
 
 #: Sweep backends of :class:`BenchSession`: ``serial`` runs the catalog
-#: in one loop; ``thread``/``process`` partition it into ``workers``
-#: hash-mod shards run on a pool, reassembled in catalog order.
-BENCH_BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
+#: in one loop; ``process`` partitions it into ``workers`` hash-mod
+#: shards run in worker processes, reassembled in catalog order.
+BENCH_BACKENDS: tuple[str, ...] = ("serial", "process")
 
 #: CatalogCache bound at the scale tier: replicated sources are visited
 #: once per sweep, so only a small working set needs to stay resident.
@@ -105,8 +105,7 @@ class CatalogCache:
     sources per entry — shared by the benchmark suite's harness and the
     ``repro bench`` session so repeated sweeps never regenerate them.
 
-    Thread-safe (the thread backend's shards share one cache), and
-    optionally bounded: ``max_sources`` caps the generated-source map
+    Optionally bounded: ``max_sources`` caps the generated-source map
     with least-recently-used eviction, so a 1000-source scale-tier sweep
     — where every source is visited once and never again — holds a small
     working set instead of a gigabyte of page trees.  Generation is
@@ -114,7 +113,6 @@ class CatalogCache:
     """
 
     def __init__(self, max_sources: int | None = None) -> None:
-        self._lock = threading.Lock()
         self._knowledge: dict[tuple[str, float], object] = {}
         self._sources: dict[str, object] = {}
         self._max_sources = max_sources
@@ -122,35 +120,25 @@ class CatalogCache:
     def knowledge(self, domain_name: str, coverage: float):
         """The built domain knowledge for one domain at one coverage."""
         key = (domain_name, coverage)
-        with self._lock:
-            hit = self._knowledge.get(key)
-        if hit is not None:
-            return hit
-        built = build_knowledge(domain_spec(domain_name), coverage=coverage)
-        with self._lock:
-            return self._knowledge.setdefault(key, built)
+        hit = self._knowledge.get(key)
+        if hit is None:
+            hit = build_knowledge(domain_spec(domain_name), coverage=coverage)
+            self._knowledge[key] = hit
+        return hit
 
     def source(self, entry: CatalogEntry):
         """The deterministic generated source of one catalog entry."""
         name = entry.spec.name
-        with self._lock:
-            hit = self._sources.get(name)
-            if hit is not None:
-                # Reinsert to refresh recency (dicts iterate insertion
-                # order, so the first key is always the LRU victim).
-                self._sources.pop(name)
-                self._sources[name] = hit
-                return hit
-        built = generate_source(entry.spec, domain_spec(entry.spec.domain))
-        with self._lock:
-            existing = self._sources.get(name)
-            if existing is not None:
-                return existing
-            self._sources[name] = built
-            if self._max_sources is not None:
-                while len(self._sources) > self._max_sources:
-                    self._sources.pop(next(iter(self._sources)))
-            return built
+        # Pop and reinsert to refresh recency (dicts iterate insertion
+        # order, so the first key is always the LRU victim).
+        hit = self._sources.pop(name, None)
+        if hit is None:
+            hit = generate_source(entry.spec, domain_spec(entry.spec.domain))
+        self._sources[name] = hit
+        if self._max_sources is not None:
+            while len(self._sources) > self._max_sources:
+                self._sources.pop(next(iter(self._sources)))
+        return hit
 
 
 def build_system(
@@ -216,15 +204,11 @@ class BenchConfig:
     #: Which slice of the catalog this capture covers; ``None`` is the
     #: whole catalog.  Shard documents merge via :func:`merge_documents`.
     shard: ShardSpec | None = None
-    #: Sweep backend (:data:`BENCH_BACKENDS`); thread/process partition
+    #: Sweep backend (:data:`BENCH_BACKENDS`); ``process`` partitions
     #: the (shard-filtered) catalog into ``workers`` hash-mod sub-shards.
     backend: str = "serial"
-    #: Pool width of the thread/process backends; 1 means serial.
+    #: Worker processes of the process backend; 1 means serial.
     workers: int = 1
-    #: Also time the alternate pooled backend (process vs thread) over
-    #: the same catalog and record it under ``sharding.reference`` —
-    #: quality results of the reference sweep are discarded.
-    compare_backends: bool = False
 
     def __post_init__(self) -> None:
         if self.backend not in BENCH_BACKENDS:
@@ -248,7 +232,7 @@ class BenchSession:
 
     Registry writes are staged per source and applied in catalog order
     at the end of each sweep — the same batch-start semantics
-    ``ObjectRunner.run_sources`` uses — so a serial sweep, a thread- or
+    ``ObjectRunner.run_sources`` uses — so a serial sweep, a
     process-pooled sweep, and a merge of per-shard runs all leave the
     registry byte-identical.
     """
@@ -356,25 +340,16 @@ class BenchSession:
     ) -> list[ShardResult]:
         """Run every shard on the configured backend, in shard order.
 
-        One shard runs in-process.  Several share the session caches on
-        a thread pool, or — with the process backend — run one worker
-        process each, with their own caches and a read view of the
-        registry root, shipping metrics and counters home.
+        One shard runs in-process.  Several (only reachable with the
+        process backend) run one worker process each, with their own
+        caches and a read view of the registry root, shipping metrics
+        and counters home.
         """
         if len(shards) < 2:
             return [
                 self._run_shard(system_name, shard, metrics)
                 for shard in shards
             ]
-        if self.config.backend == "thread":
-            with ThreadPoolExecutor(max_workers=len(shards)) as threads:
-                futures = [
-                    threads.submit(
-                        self._run_shard, system_name, shard, metrics
-                    )
-                    for shard in shards
-                ]
-            return [future.result() for future in futures]
         tasks = [
             _BenchShardTask(
                 config=self.config,
@@ -394,8 +369,8 @@ class BenchSession:
         Returns the per-domain metrics (paper order), a registry holding
         the per-source ``wrap`` timer, and the pipeline metrics observer
         (meaningful for ObjectRunner; empty for the baselines).  The
-        thread and process backends split the slice into ``workers``
-        hash-mod shards; whatever the backend, evaluations, the wrap
+        process backend splits the slice into ``workers`` hash-mod
+        shards; whatever the backend, evaluations, the wrap
         timer and the staged registry writes fold back in catalog order.
         """
         entries = self.entries()
@@ -435,8 +410,7 @@ class BenchSession:
         for result in results:
             if result.cache_stats is not None:
                 self._worker_cache_stats.append(result.cache_stats)
-        # The sweep wall includes pool startup/teardown and the merge —
-        # the number the thread-vs-process comparison is about.
+        # The sweep wall includes pool startup/teardown and the merge.
         self._walls[system_name] = round(monotonic_seconds() - start, 6)
         domains = [
             aggregate_domain(domain_name, system_name, evaluations[domain_name])
@@ -502,11 +476,6 @@ class BenchSession:
                     name: rows for name, rows in self._shard_rows.items()
                 } or None,
                 "wall_seconds": dict(self._walls) or None,
-                "reference": (
-                    self._reference_backend()
-                    if self.config.compare_backends
-                    else None
-                ),
             },
         }
 
@@ -523,37 +492,6 @@ class BenchSession:
             for name, value in stats.items():
                 totals[name] = totals.get(name, 0) + value
         return totals
-
-    def _reference_backend(self) -> dict | None:
-        """Time the alternate pooled backend over the same catalog slice.
-
-        Runs every configured system once more under the other pooled
-        backend (process ⇄ thread) in a fresh session — fresh caches, no
-        registry — and reports only the walls and per-shard rows.  This
-        is the honest thread-vs-process comparison the BENCH_4 capture
-        demonstrates; quality output is discarded (it is byte-identical
-        by construction).
-        """
-        if self.config.backend == "serial":
-            return None
-        alternate = "thread" if self.config.backend == "process" else "process"
-        config = dataclasses.replace(
-            self.config,
-            backend=alternate,
-            registry_root=None,
-            compare_backends=False,
-        )
-        session = BenchSession(config)
-        for system_name in self.config.systems:
-            session.run_system(system_name)
-        return {
-            "backend": alternate,
-            "workers": max(1, int(config.workers)),
-            "wall_seconds": dict(session._walls),
-            "per_shard": {
-                name: rows for name, rows in session._shard_rows.items()
-            } or None,
-        }
 
 
 def _domain_doc(metrics: "DomainMetrics") -> dict:
@@ -594,10 +532,7 @@ def _bench_shard_worker(task: _BenchShardTask) -> ShardResult:
     """
     config = dataclasses.replace(
         task.config,
-        backend="serial",
-        workers=1,
-        shard=None,
-        compare_backends=False,
+        backend="serial", workers=1, shard=None
     )
     session = BenchSession(config)
     wanted = set(task.names)
@@ -1195,7 +1130,6 @@ def merge_documents(documents: Sequence[dict]) -> dict:
             ],
             "per_shard": per_shard or None,
             "wall_seconds": walls or None,
-            "reference": None,
         },
     }
 

@@ -17,8 +17,8 @@ per-source :class:`~repro.metrics.registry.MetricsRegistry`:
 **deterministically in input order**: the order registered through
 :meth:`note_source_order` (``ObjectRunner.run_sources`` does this before
 fanning out), falling back to sorted source names for stragglers — so a
-parallel multi-source run snapshots byte-identically to a serial one fed
-the same observations.
+process-backend run, whose workers' registries the parent adopts, snapshots
+byte-identically to a serial one fed the same observations.
 
 This module is part of the observer layer, the only code allowed to read
 clocks (reprolint ``D102``): :func:`wall_timestamp` is the single place a
@@ -29,7 +29,6 @@ wall-clock timestamp enters a persisted artifact, and
 from __future__ import annotations
 
 import sys
-import threading
 import time
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -90,20 +89,19 @@ def peak_rss_bytes() -> int:
 class MetricsObserver(PipelineObserver):
     """Aggregates pipeline events into per-source metrics registries.
 
-    Thread-safe: one observer may serve a parallel multi-source run.
-    Within one source, events arrive from a single worker thread in
-    pipeline order, so each per-source registry's observation lists are
+    Events arrive in pipeline order on the calling thread (a process
+    backend's workers feed observers of their own, which the parent
+    adopts), so each per-source registry's observation lists are
     deterministic; the cross-source merge order is pinned by
     :meth:`note_source_order`.
 
     Preprocessing caches registered through :meth:`observe_cache`
-    contribute their lifetime hit/miss/races statistics to the snapshot
+    contribute their lifetime hit/miss statistics to the snapshot
     (``ObjectRunner`` registers its cache automatically when this
     observer is subscribed).
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._per_source: dict[str, MetricsRegistry] = {}
         self._source_order: list[str] = []
         self._caches: list["PreprocessCache"] = []
@@ -114,19 +112,17 @@ class MetricsObserver(PipelineObserver):
     def note_source_order(self, sources: Iterable[str]) -> None:
         """Pin the snapshot merge order of the given sources.
 
-        Call before a (possibly parallel) multi-source run with the input
+        Call before a (possibly sharded) multi-source run with the input
         order; sources already noted keep their original position.
         """
-        with self._lock:
-            for source in sources:
-                if source not in self._source_order:
-                    self._source_order.append(source)
+        for source in sources:
+            if source not in self._source_order:
+                self._source_order.append(source)
 
     def observe_cache(self, cache: "PreprocessCache") -> None:
         """Fold this cache's lifetime stats into future snapshots."""
-        with self._lock:
-            if not any(existing is cache for existing in self._caches):
-                self._caches.append(cache)
+        if not any(existing is cache for existing in self._caches):
+            self._caches.append(cache)
 
     def adopt_source(self, source: str, registry: MetricsRegistry) -> None:
         """Fold a per-source registry produced elsewhere into this observer.
@@ -146,19 +142,17 @@ class MetricsObserver(PipelineObserver):
         objects with the parent, so they report their final stats and the
         parent adopts the dict — summed alongside the observed caches.
         """
-        with self._lock:
-            self._adopted_cache_stats.append(dict(stats))
+        self._adopted_cache_stats.append(dict(stats))
 
     def _registry(self, source: str) -> MetricsRegistry:
         """The per-source registry, created (and ordered) on first use."""
-        with self._lock:
-            registry = self._per_source.get(source)
-            if registry is None:
-                registry = MetricsRegistry()
-                self._per_source[source] = registry
-                if source not in self._source_order:
-                    self._source_order.append(source)
-            return registry
+        registry = self._per_source.get(source)
+        if registry is None:
+            registry = MetricsRegistry()
+            self._per_source[source] = registry
+            if source not in self._source_order:
+                self._source_order.append(source)
+        return registry
 
     # -- event hooks ------------------------------------------------------
 
@@ -185,10 +179,9 @@ class MetricsObserver(PipelineObserver):
 
     def sources(self) -> tuple[str, ...]:
         """Observed sources in merge order (noted order, then first-seen)."""
-        with self._lock:
-            ordered = [s for s in self._source_order if s in self._per_source]
-            stragglers = sorted(set(self._per_source) - set(ordered))
-            return tuple(ordered + stragglers)
+        ordered = [s for s in self._source_order if s in self._per_source]
+        stragglers = sorted(set(self._per_source) - set(ordered))
+        return tuple(ordered + stragglers)
 
     def source_registry(self, source: str) -> MetricsRegistry:
         """The per-source registry (created empty on first access).
@@ -200,18 +193,15 @@ class MetricsObserver(PipelineObserver):
 
     def merged_registry(self) -> MetricsRegistry:
         """All per-source registries folded together in merge order."""
-        order = self.sources()
-        with self._lock:
-            registries = [self._per_source[source] for source in order]
-        return MetricsRegistry.merged(registries)
+        return MetricsRegistry.merged(
+            self._per_source[source] for source in self.sources()
+        )
 
     def cache_stats(self) -> dict[str, int]:
         """Summed lifetime stats of every observed preprocessing cache."""
-        with self._lock:
-            caches = list(self._caches)
-            adopted = [dict(stats) for stats in self._adopted_cache_stats]
-        totals = {"hits": 0, "misses": 0, "races": 0, "entries": 0}
-        for stats in [cache.stats() for cache in caches] + adopted:
+        totals = {"hits": 0, "misses": 0, "entries": 0}
+        live = [cache.stats() for cache in self._caches]
+        for stats in live + self._adopted_cache_stats:
             for name, value in stats.items():
                 totals[name] = totals.get(name, 0) + value
         return totals
@@ -223,16 +213,14 @@ class MetricsObserver(PipelineObserver):
         registries, ``merged`` their ordered fold, and ``cache`` the
         summed preprocessing-cache statistics.  Given the same events and
         caches, two observers snapshot byte-identically under
-        ``json.dumps(..., sort_keys=True)`` regardless of how many
-        threads delivered the events.
+        ``json.dumps(..., sort_keys=True)`` regardless of which process
+        observed each source.
         """
-        order = self.sources()
-        with self._lock:
-            per_source = {
-                source: self._per_source[source] for source in order
-            }
+        per_source = {
+            source: self._per_source[source] for source in self.sources()
+        }
         return {
-            "sources": list(order),
+            "sources": list(per_source),
             "per_source": {
                 source: registry.snapshot()
                 for source, registry in per_source.items()

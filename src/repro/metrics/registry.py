@@ -12,7 +12,7 @@ another registry in, and :meth:`MetricsRegistry.merged` folds a sequence
 in input order.  Counters add, gauges last-write-wins (later registries
 override earlier ones), timer observation lists concatenate — so merging
 per-source registries in input order yields the same snapshot whether the
-sources ran serially or on a thread pool.
+sources ran serially or in worker processes.
 """
 
 from __future__ import annotations
@@ -220,8 +220,7 @@ class MetricsRegistry:
 
 #: Process-wide registry for library-internal health counters (for
 #: example the grading layer's negative-missed clamp).  Created eagerly
-#: at import time so no function ever rebinds a module-level name
-#: (keeping reprolint's T301 shared-state rule quiet by construction).
+#: at import time so no function ever rebinds a module-level name.
 _DEFAULT_REGISTRY = MetricsRegistry()
 
 

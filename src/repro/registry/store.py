@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro.errors import RegistryError
+from repro.errors import RegistryError, ReproError
 from repro.sod.canonical import canonicalize
 from repro.sod.dsl import format_sod
 from repro.sod.types import SodType
@@ -66,7 +66,7 @@ def _entry_precedence(kind: str, source: str) -> tuple[int, str]:
     this tuple wins: wrappers before discard tombstones, then the smaller
     source id.  A minimum is associative and order-independent, so a
     registry built by applying staged writes in catalog order, by any
-    thread interleaving, or by merging shard registries in any part order
+    interleaving of writers, or by merging shard registries in any part order
     converges on the same bytes.
     """
     return (_KIND_RANK.get(kind, len(_KIND_RANK)), source)
@@ -458,8 +458,10 @@ class WrapperRegistry:
         """Check index/entry consistency; returns sorted problem strings.
 
         Detects index rows without an entry file, unreadable or
-        schema-incompatible entries, entries whose stored identity does
-        not reproduce their address, and orphan entry files.
+        schema-incompatible entries, wrapper payloads
+        :func:`~repro.wrapper.serialize.wrapper_from_dict` cannot load,
+        entries whose stored identity does not reproduce their address,
+        and orphan entry files.
         """
         problems = []
         with self._lock:
@@ -479,6 +481,11 @@ class WrapperRegistry:
                     f"{signature}: entry file claims signature "
                     f"{entry.signature!r}"
                 )
+            if entry.kind == KIND_WRAPPER:
+                try:
+                    wrapper_from_dict(entry.wrapper)
+                except ReproError as exc:
+                    problems.append(f"{signature}: unreadable wrapper: {exc}")
         for path in sorted(self._wrappers_dir.glob("*.json")):
             if path.stem not in index:
                 problems.append(f"{path.name}: orphan entry file (not in index)")
@@ -555,8 +562,8 @@ class StagedRegistryView:
     source's *own* staged writes; puts and demotions are buffered and
     applied to the base registry in input order once the batch finishes
     (:meth:`apply_to`).  Hit/miss per source therefore never depends on
-    thread scheduling, which is what makes a parallel batch snapshot
-    byte-identical to a serial one.
+    which shard or worker ran it, which is what makes a parallel batch
+    snapshot byte-identical to a serial one.
     """
 
     base: WrapperRegistry

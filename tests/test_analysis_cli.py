@@ -60,7 +60,7 @@ class TestExitCodes:
         out = capsys.readouterr().out
         for rule_id in (
             "D101", "D102", "D103", "D104", "D105", "D106",
-            "C201", "C202", "T301", "E401", "A501",
+            "C201", "C202", "E401", "A501",
         ):
             assert rule_id in out
 

@@ -29,7 +29,7 @@ class TestRegistry:
     def test_all_bundled_rules_registered(self):
         assert {
             "D101", "D102", "D103", "D104", "D105", "D106",
-            "C201", "C202", "T301", "E401", "A501",
+            "C201", "C202", "E401", "A501",
         } <= set(rule_registry())
 
     def test_unknown_rule_rejected(self):
@@ -46,9 +46,9 @@ class TestSuppressions:
         assert suppressed_rules("x = 1  # repro: ignore[D101]") == {"D101"}
 
     def test_parse_multiple(self):
-        assert suppressed_rules("# repro: ignore[D101, T301]") == {
+        assert suppressed_rules("# repro: ignore[D101, E401]") == {
             "D101",
-            "T301",
+            "E401",
         }
 
     def test_no_comment(self):

@@ -1,16 +1,10 @@
 """Fixture-based positive/negative cases for each determinism rule."""
 
 import textwrap
-from pathlib import Path
 
 import pytest
 
 from repro.analysis import analyze_file, build_rules
-from repro.analysis.engine import collect_files
-from repro.analysis.graph import ProjectGraph
-from repro.analysis.rules.concurrency import SharedStateRule, _uses_thread_pool
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_rule(tmp_path, rule_id, source, name="mod.py"):
@@ -224,134 +218,6 @@ class TestUnsortedListingD104:
             "def f(path):\n"
             "    return sorted(p.name for p in path.iterdir())\n",
         )
-
-
-class TestSharedStateT301:
-    def _analyze_tree(self, tmp_path, files):
-        from repro.analysis import analyze_paths, build_rules
-
-        for name, source in files.items():
-            path = tmp_path / name
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(textwrap.dedent(source), encoding="utf-8")
-        report = analyze_paths(
-            [tmp_path], root=tmp_path, rules=build_rules(["T301"]), jobs=1
-        )
-        return [f for f in report.findings if f.rule == "T301"]
-
-    POOL = """
-        from concurrent.futures import ThreadPoolExecutor
-        import state
-
-        def run_all(items):
-            with ThreadPoolExecutor() as pool:
-                return [f.result() for f in [pool.submit(state.work, i) for i in items]]
-    """
-
-    def test_module_dict_write_in_reachable_module_flagged(self, tmp_path):
-        findings = self._analyze_tree(
-            tmp_path,
-            {
-                "poolmod.py": self.POOL,
-                "state.py": """
-                    _CACHE = {}
-
-                    def work(item):
-                        _CACHE[item] = item * 2
-                        return _CACHE[item]
-                """,
-            },
-        )
-        assert any("'_CACHE'" in f.message for f in findings)
-
-    def test_global_rebind_flagged(self, tmp_path):
-        findings = self._analyze_tree(
-            tmp_path,
-            {
-                "poolmod.py": self.POOL,
-                "state.py": """
-                    TOTAL = 0
-
-                    def work(item):
-                        global TOTAL
-                        TOTAL += item
-                        return TOTAL
-                """,
-            },
-        )
-        assert any("'TOTAL'" in f.message for f in findings)
-
-    def test_mutating_method_call_flagged(self, tmp_path):
-        findings = self._analyze_tree(
-            tmp_path,
-            {
-                "poolmod.py": self.POOL,
-                "state.py": """
-                    _SEEN = []
-
-                    def work(item):
-                        _SEEN.append(item)
-                        return item
-                """,
-            },
-        )
-        assert any("'_SEEN'" in f.message for f in findings)
-
-    def test_unreachable_module_not_flagged(self, tmp_path):
-        findings = self._analyze_tree(
-            tmp_path,
-            {
-                "poolmod.py": self.POOL,
-                "state.py": """
-                    def work(item):
-                        return item
-                """,
-                "island.py": """
-                    _CACHE = {}
-
-                    def mutate(item):
-                        _CACHE[item] = item
-                """,
-            },
-        )
-        assert not findings
-
-    def test_local_state_not_flagged(self, tmp_path):
-        findings = self._analyze_tree(
-            tmp_path,
-            {
-                "poolmod.py": self.POOL,
-                "state.py": """
-                    def work(items):
-                        cache = {}
-                        for item in items:
-                            cache[item] = item
-                        return cache
-                """,
-            },
-        )
-        assert not findings
-
-    @pytest.fixture(scope="class")
-    def graph(self):
-        return ProjectGraph.build(
-            REPO_ROOT, collect_files([REPO_ROOT / "src"])
-        )
-
-    def test_t301_reaches_the_pipeline_and_annotator(self, graph):
-        # T301 roots its reachability at modules naming
-        # ThreadPoolExecutor; moving the pools out of the callers' modules
-        # would leave it silently looking at nothing.
-        roots = {
-            name
-            for name, info in graph.modules.items()
-            if _uses_thread_pool(info.tree)
-        }
-        assert {"repro.core.objectrunner", "repro.metrics.bench"} <= roots
-        rule = SharedStateRule()
-        rule.prepare_graph(graph)
-        for module in ("repro.core.pipeline", "repro.annotation.annotator"):
-            assert graph.modules[module].path in rule._reachable_files
 
 
 def analyze_tree(tmp_path, rule_id, files, scan=None):

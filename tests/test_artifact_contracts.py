@@ -101,6 +101,17 @@ SHAPES: dict[tuple[str, int | None], dict[str, list[str]]] = {
             "python", "registry", "schema_version", "sharding", "systems",
         ],
     },
+    ("bench", 3): {
+        "document": [
+            "cache", "config", "generated_at", "platform", "process",
+            "python", "registry", "schema_version", "sharding", "systems",
+        ],
+        "cache": ["entries", "hits", "misses"],
+        "sharding": [
+            "backend", "merged_from", "per_shard", "shard", "wall_seconds",
+            "workers",
+        ],
+    },
     ("registry", 2): {
         "entry": [
             "discard", "fingerprint", "kind", "schema_version",
@@ -331,7 +342,11 @@ def is_builtin_error(message: str) -> bool:
 
 class TestShapes:
     def test_bench_document(self, bench_document):
-        assert_shape("bench", collect_shape([("document", bench_document)]))
+        assert_shape("bench", collect_shape([
+            ("document", bench_document),
+            ("cache", bench_document["cache"]),
+            ("sharding", bench_document["sharding"]),
+        ]))
 
     def test_registry_entry_tombstone_and_index(self, induced):
         root, __ = induced

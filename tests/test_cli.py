@@ -111,6 +111,14 @@ class TestResilienceFlags:
         assert code == 2
         assert "max_retries" in capsys.readouterr().err
 
+    def test_backend_flag_removed(self, figure3_files, capsys):
+        # extract runs one source, so a fan-out backend chose nothing.
+        pages, __, __ = figure3_files
+        with pytest.raises(SystemExit) as excinfo:
+            main(["extract", "--sod", SOD, "--backend", "process", *pages])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
 
 class TestWrapperPersistenceFlags:
     def test_save_then_load_wrapper_round_trip(self, figure3_files, capsys, tmp_path):
@@ -314,9 +322,18 @@ class TestRegistryFlag:
             ]
         )
         capsys.readouterr()
+        [entry_path] = sorted((registry_dir / "wrappers").glob("*.json"))
         (registry_dir / "wrappers" / ("0" * 64 + ".json")).write_text("{}")
         assert main(["registry", "verify", "--root", str(registry_dir)]) == 1
         assert "orphan" in capsys.readouterr().out
+        # A readable entry whose wrapper payload is not is flagged too.
+        assert main(["registry", "gc", "--root", str(registry_dir)]) == 0
+        entry = json.loads(entry_path.read_text(encoding="utf-8"))
+        del entry["wrapper"]["template"]
+        entry_path.write_text(json.dumps(entry), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["registry", "verify", "--root", str(registry_dir)]) == 1
+        assert "unreadable wrapper" in capsys.readouterr().out
 
 
 class TestWrapperFingerprintCheck:

@@ -25,7 +25,7 @@ class TestPreprocessCache:
         assert second.misses == 0
         assert second.hits == 2
         assert cache.stats() == {
-            "hits": 3, "misses": 2, "races": 0, "entries": 2,
+            "hits": 3, "misses": 2, "entries": 2,
         }
 
     def test_returns_equal_trees(self):
@@ -61,39 +61,6 @@ class TestPreprocessCache:
         assert len(cache) == 0
         cache.clean_page(PAGE)
         assert cache.misses == 2
-
-    def test_same_key_race_counts_once(self, monkeypatch):
-        """Regression: two threads computing the same page used to both
-        count a miss.  The loser must count a ``race`` instead, and serve
-        the winner's tree."""
-        import threading
-
-        barrier = threading.Barrier(2, timeout=10)
-        real_tidy = cache_module.tidy
-
-        def rendezvous_tidy(raw):
-            # Hold both threads inside the compute window so each passes
-            # the first lock before either reaches the second.
-            barrier.wait()
-            return real_tidy(raw)
-
-        monkeypatch.setattr(cache_module, "tidy", rendezvous_tidy)
-        cache = PreprocessCache()
-        trees = []
-
-        def request():
-            trees.append(cache.clean_page(PAGE))
-
-        threads = [threading.Thread(target=request) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        assert cache.stats() == {
-            "hits": 0, "misses": 1, "races": 1, "entries": 1,
-        }
-        assert to_html(trees[0]) == to_html(trees[1])
 
 
 class TestRunnerCacheReuse:

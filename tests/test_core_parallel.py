@@ -1,4 +1,4 @@
-"""Parallel multi-source execution equals serial execution exactly."""
+"""Process-parallel multi-source execution equals serial execution exactly."""
 
 import json
 
@@ -27,15 +27,32 @@ def four_sources():
     return domain, knowledge, sources
 
 
-def run_with_workers(domain, knowledge, sources, workers, **params):
-    runner = ObjectRunner(
+def make_runner(domain, knowledge, workers, **params):
+    """A serial runner (``workers=1``) or a process-backend one."""
+    backend = "process" if workers > 1 else "thread"
+    return ObjectRunner(
         domain.sod,
         ontology=knowledge.ontology,
         corpus=knowledge.corpus,
         gazetteer_classes=domain.gazetteer_classes,
-        params=RunParams(max_workers=workers, **params),
+        params=RunParams(max_workers=workers, backend=backend, **params),
     )
-    return runner.run_sources(sources)
+
+
+def run_with_workers(domain, knowledge, sources, workers, **params):
+    return make_runner(domain, knowledge, workers, **params).run_sources(
+        sources
+    )
+
+
+@pytest.fixture(scope="module")
+def serial_and_parallel(four_sources):
+    """One serial and one process/4 run, shared by the parity checks."""
+    domain, knowledge, sources = four_sources
+    return (
+        run_with_workers(domain, knowledge, sources, workers=1),
+        run_with_workers(domain, knowledge, sources, workers=4),
+    )
 
 
 def as_bytes(outcome):
@@ -45,22 +62,19 @@ def as_bytes(outcome):
 
 
 class TestParallelEqualsSerial:
-    def test_byte_identical_objects(self, four_sources):
-        domain, knowledge, sources = four_sources
-        serial = run_with_workers(domain, knowledge, sources, workers=1)
-        parallel = run_with_workers(domain, knowledge, sources, workers=4)
+    def test_byte_identical_objects(self, serial_and_parallel):
+        serial, parallel = serial_and_parallel
         assert as_bytes(parallel) == as_bytes(serial)
 
-    def test_result_ordering_preserved(self, four_sources):
-        domain, knowledge, sources = four_sources
-        parallel = run_with_workers(domain, knowledge, sources, workers=4)
+    def test_result_ordering_preserved(self, four_sources, serial_and_parallel):
+        __, __, sources = four_sources
+        __, parallel = serial_and_parallel
         assert list(parallel.results) == list(sources)
         assert parallel.sources_ok == 4
 
-    def test_per_source_results_match(self, four_sources):
-        domain, knowledge, sources = four_sources
-        serial = run_with_workers(domain, knowledge, sources, workers=1)
-        parallel = run_with_workers(domain, knowledge, sources, workers=4)
+    def test_per_source_results_match(self, four_sources, serial_and_parallel):
+        __, __, sources = four_sources
+        serial, parallel = serial_and_parallel
         for name in sources:
             left = serial.results[name]
             right = parallel.results[name]
@@ -89,30 +103,14 @@ class TestParallelEqualsSerial:
         mirrored = dict(sources)
         first = next(iter(sources))
         mirrored[f"{first}-mirror"] = sources[first]
-        serial = run_with_workers(
-            domain, knowledge, mirrored, workers=1
-        )
-        parallel = run_with_workers(
-            domain, knowledge, mirrored, workers=4
-        )
         # Dedup happens after pooling, so parity must survive it too.
         runner_args = dict(deduplicate_across=True, dedup_keys=("title", "artist"))
-        serial_runner = ObjectRunner(
-            domain.sod,
-            ontology=knowledge.ontology,
-            corpus=knowledge.corpus,
-            gazetteer_classes=domain.gazetteer_classes,
-            params=RunParams(max_workers=1),
+        serial = make_runner(domain, knowledge, 1).run_sources(
+            mirrored, **runner_args
         )
-        parallel_runner = ObjectRunner(
-            domain.sod,
-            ontology=knowledge.ontology,
-            corpus=knowledge.corpus,
-            gazetteer_classes=domain.gazetteer_classes,
-            params=RunParams(max_workers=4),
+        parallel = make_runner(domain, knowledge, 4).run_sources(
+            mirrored, **runner_args
         )
-        serial = serial_runner.run_sources(mirrored, **runner_args)
-        parallel = parallel_runner.run_sources(mirrored, **runner_args)
         assert serial.duplicates_merged == parallel.duplicates_merged
         assert as_bytes(parallel) == as_bytes(serial)
 

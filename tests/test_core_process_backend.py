@@ -219,16 +219,16 @@ class TestProcessFailurePolicies:
     def test_fail_fast_reaches_the_same_sources_in_every_pooled_backend(
         self, four_sources, tmp_path
     ):
-        # Each hash-mod shard stops at its own first failure, so thread/4
-        # reaches exactly the sources process/4 reaches, on every run;
-        # what the batch returns and writes is still the serial prefix.
+        # Each hash-mod shard stops at its own first failure, so every
+        # process/4 run reaches exactly the same sources; what the batch
+        # returns and writes is still the serial prefix.
         domain, knowledge, sources = four_sources
         mixed = self.failing_sources(sources)
         reached = set()
         for __, ids in partition(mixed, 4):
             cut = ids.index("bad") + 1 if "bad" in ids else len(ids)
             reached.update(ids[:cut])
-        runs = (("thread", 1), ("process", 4), ("thread", 4), ("thread", 4))
+        runs = (("thread", 1), ("process", 4), ("process", 4))
         seen = []
         for run, (backend, workers) in enumerate(runs):
             root = tmp_path / f"{backend}-{workers}-{run}"
@@ -248,14 +248,12 @@ class TestProcessFailurePolicies:
                 "partial": as_bytes(excinfo.value.partial),
                 "index": (root / "index.json").read_bytes(),
             })
-        serial, process, *threads = seen
+        serial, process, again = seen
         assert serial["sources"] == ["proc-0", "proc-1", "bad"]
         assert process["sources"] == [s for s in mixed if s in reached]
-        for thread in threads:
-            assert thread == process
-        for pooled in (process, *threads):
-            assert pooled["partial"] == serial["partial"]
-            assert pooled["index"] == serial["index"]
+        assert again == process
+        assert process["partial"] == serial["partial"]
+        assert process["index"] == serial["index"]
 
 
 class TestProcessBackendSupport:
@@ -266,7 +264,7 @@ class TestProcessBackendSupport:
     def test_rejects_fault_injector(self, four_sources):
         domain, knowledge, __ = four_sources
         with pytest.raises(
-            ProcessBackendConfigError, match="fault injector"
+            ProcessBackendConfigError, match="fault injector.*serially"
         ) as excinfo:
             ObjectRunner(
                 domain.sod,
@@ -283,7 +281,7 @@ class TestProcessBackendSupport:
     def test_rejects_custom_sleep(self, four_sources):
         domain, knowledge, __ = four_sources
         with pytest.raises(
-            ProcessBackendConfigError, match="sleep"
+            ProcessBackendConfigError, match="sleep.*serially"
         ) as excinfo:
             ObjectRunner(
                 domain.sod,
@@ -345,6 +343,32 @@ class TestProcessBackendSupport:
             RunParams(backend="fiber")
         with pytest.raises(ValueError):
             RunParams(shard="0/2")  # must be a ShardSpec, not a string
+
+    def test_thread_backend_rejects_pooled_workers(self):
+        # The thread backend is the in-process path; a pool means process.
+        with pytest.raises(ValueError, match='backend="process"'):
+            RunParams(backend="thread", max_workers=2)
+        with pytest.raises(ValueError, match='backend="process"'):
+            RunParams().with_overrides(max_workers=2)
+        assert RunParams(backend="process", max_workers=2).max_workers == 2
+
+    def test_serial_reference_params_run(self, four_sources):
+        # The exact RunParams a perfbench workload builds its serial
+        # reference with stays valid and runs every source in order.
+        domain, knowledge, sources = four_sources
+        params = RunParams(
+            backend="thread", max_workers=1, failure_policy="isolate"
+        )
+        runner = ObjectRunner(
+            domain.sod,
+            ontology=knowledge.ontology,
+            corpus=knowledge.corpus,
+            gazetteer_classes=domain.gazetteer_classes,
+            params=params,
+        )
+        outcome = runner.run_sources(sources)
+        assert list(outcome.results) == list(sources)
+        assert not outcome.failures
 
 
 class TestMergeBuildingBlocks:

@@ -170,7 +170,6 @@ with tempfile.TemporaryDirectory() as tmp:
     # Every backend leaves identical objects, counters and registry bytes.
     for label, backend, workers in (
         ("serial", "thread", 1),
-        ("thread", "thread", 4),
         ("process", "process", 4),
     ):
         root = Path(tmp) / label

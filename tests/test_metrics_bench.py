@@ -35,7 +35,7 @@ def fixture_document(scale=0.1, pc=0.8, pp=0.9, wrap_mean=0.02, stage_mean=0.01)
             "seed": {"sampling_seed": 7, "pythonhashseed": ""},
         },
         "process": {"peak_rss_bytes": 100_000_000},
-        "cache": {"hits": 10, "misses": 5, "races": 0, "entries": 5},
+        "cache": {"hits": 10, "misses": 5, "entries": 5},
         "systems": {
             "objectrunner": {
                 "domains": {
@@ -67,7 +67,7 @@ def fixture_document(scale=0.1, pc=0.8, pp=0.9, wrap_mean=0.02, stage_mean=0.01)
                         }
                     },
                 },
-                "cache": {"hits": 10, "misses": 5, "races": 0, "entries": 5},
+                "cache": {"hits": 10, "misses": 5, "entries": 5},
             }
         },
     }
@@ -264,6 +264,16 @@ class TestCli:
         write_bench(old, fixture_document())
         write_bench(new, fixture_document())
         assert main(["bench", "--compare-files", str(old), str(new)]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--compare-backends"], ["--backend", "thread", "--workers", "2"]],
+    )
+    def test_thread_backend_options_rejected(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--scale", "0.02", "--out", str(tmp_path), *argv])
+        assert excinfo.value.code == 2
+        assert not sorted(tmp_path.glob("BENCH_*.json"))
 
 
 class TestCapture:

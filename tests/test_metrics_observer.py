@@ -1,8 +1,6 @@
 """MetricsObserver: scripted event feeds, merge order, cache stats, wiring."""
 
 import datetime
-import json
-import threading
 
 from repro.core import EventBus, ObjectRunner, PreprocessCache, RunParams
 from repro.core.pipeline import PipelineEvent
@@ -62,37 +60,6 @@ class TestScriptedEventBus:
         assert merged.counter_value("discards") == 1
         assert merged.counter_value("runs") == 2
 
-    def test_parallel_delivery_snapshots_byte_identical_to_serial(self):
-        """Same scripted per-source runs, one observer fed serially and one
-        from four threads: snapshots must match byte for byte."""
-        sources = [f"src-{index}" for index in range(4)]
-
-        serial = MetricsObserver()
-        serial.note_source_order(sources)
-        for salt, source in enumerate(sources, start=1):
-            for event in scripted_events(source, salt):
-                getattr(serial, f"on_{event.kind}")(event, None)
-
-        parallel = MetricsObserver()
-        parallel.note_source_order(sources)
-
-        def deliver(source, salt):
-            for event in scripted_events(source, salt):
-                getattr(parallel, f"on_{event.kind}")(event, None)
-
-        threads = [
-            threading.Thread(target=deliver, args=(source, salt))
-            for salt, source in enumerate(sources, start=1)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        assert json.dumps(serial.snapshot(), sort_keys=True) == json.dumps(
-            parallel.snapshot(), sort_keys=True
-        )
-
     def test_note_source_order_pins_merge_order(self):
         observer = MetricsObserver()
         observer.note_source_order(["zeta", "alpha"])
@@ -119,7 +86,7 @@ class TestCacheStats:
         observer.observe_cache(second)
         observer.observe_cache(first)  # duplicate registration ignored
         stats = observer.cache_stats()
-        assert stats == {"hits": 1, "misses": 2, "races": 0, "entries": 2}
+        assert stats == {"hits": 1, "misses": 2, "entries": 2}
         assert observer.snapshot()["cache"] == stats
 
 
@@ -186,7 +153,7 @@ class TestRunnerWiring:
             domain,
             knowledge,
             observers=(observer,),
-            params=RunParams(max_workers=4),
+            params=RunParams(max_workers=4, backend="process"),
         )
         sources = {
             "site-c": source.pages,

@@ -150,7 +150,10 @@ def run_batch(domain, knowledge, sources, root, workers):
         ontology=knowledge.ontology,
         corpus=knowledge.corpus,
         gazetteer_classes=domain.gazetteer_classes,
-        params=RunParams(max_workers=workers),
+        params=RunParams(
+            max_workers=workers,
+            backend="process" if workers > 1 else "thread",
+        ),
         wrapper_registry=registry,
     )
     outcome = runner.run_sources(sources)

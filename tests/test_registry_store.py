@@ -170,9 +170,20 @@ class TestDemoteVerifyGc:
         registry.entry_path(signature).rename(
             registry.entry_path("0" * 64)
         )
+        # An entry whose wrapper payload cannot be loaded (a Figure 3
+        # entry with its template deleted) is a problem too.
+        broken = registry.put(SOD, "f" * 64, wrapper)
+        path = registry.entry_path(broken)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        del data["wrapper"]["template"]
+        path.write_text(json.dumps(data), encoding="utf-8")
         problems = registry.verify()
         assert any("no entry file" in p for p in problems)
         assert any("orphan" in p for p in problems)
+        assert any(
+            p.startswith(f"{broken}: unreadable wrapper:") and "template" in p
+            for p in problems
+        )
 
     def test_gc_removes_orphans_only(self, tmp_path, induced):
         wrapper, fingerprint = induced
